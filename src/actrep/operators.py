@@ -265,8 +265,45 @@ class NormEstimate:
     witness: StateVector | None = None
 
 
+def _norm(v: np.ndarray) -> np.float64:
+    """Euclidean norm summed by numpy itself; np.linalg.norm goes through BLAS,
+    whose reduction order, and so the last bits, depend on its thread count."""
+    x = v.view(np.float64)  # real and imaginary parts, interleaved
+    return np.sqrt(np.sum(x * x))
+
+
 def _zero_estimate() -> NormEstimate:
     return NormEstimate(0.0, 0, 0.0, 0, 0, True, 0.0, None)
+
+
+def _window(T: FormalOperator, space: ActionSpace, budget: NormBudget):
+    """The estimator's window: the seed closed under the symbols of T, then
+    their inverses, up to depth ``2 * max_iterations + 1`` and
+    ``support_cap`` points.  Returns those symbols, the window and its
+    targets.
+    """
+    seed = budget.seed_point if budget.seed_point is not None else space.base_point
+    union = list(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
+    window = space.window(seed, union)
+    return union, window, window.close(2 * budget.max_iterations + 1, budget.support_cap)
+
+
+def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarray) -> float:
+    """||T w||, bit for bit as op_apply computes it, for the vector w with
+    values ``wv`` and ``images[k, j]`` the id of term k applied to point j.
+
+    Each image's coefficient is summed over T's terms in order, from products
+    formed as Python's complex multiplication forms them, and the norm is
+    exactly rounded by math.fsum.
+    """
+    wr, wi = wv.real, wv.imag
+    m = int(images.max()) + 1
+    acc_r = np.zeros(m)
+    acc_i = np.zeros(m)
+    for at, a in zip(images, coefficients):
+        acc_r += np.bincount(at, weights=a.real * wr - a.imag * wi, minlength=m)
+        acc_i += np.bincount(at, weights=a.real * wi + a.imag * wr, minlength=m)
+    return math.sqrt(math.fsum(acc_r * acc_r + acc_i * acc_i))
 
 
 def norm_lower_bound(
@@ -280,49 +317,37 @@ def norm_lower_bound(
     the threshold.  The reported bound applies T to the final vector with no
     truncation, so it is attained and sound regardless of how aggressively
     the iteration itself was capped or pruned.
+
+    The window is the space's integer-indexed :class:`CayleyWindow`: points
+    are rows of syllable codes with consecutive ids, identity is decided
+    exactly (a fingerprint match counts only when the rows are equal), and
+    whole blocks of points are multiplied by the symbols at once.  It grows
+    level by level in the same breadth-first order as a point-by-point
+    loop: new points in first-occurrence order of the (point, symbol) scan,
+    up to depth ``2 * max_iterations + 1``, truncated at ``support_cap``.
+    Group elements are built only for the witness and the ``start_vector``
+    lookup.  The bound ||T w|| / ||w|| is computed on window ids, with the
+    images outside the window resolved exactly, and equals
+    ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
+    use :func:`op_apply` as its oracle.  Norms in the iteration are summed
+    by numpy rather than BLAS, so the result does not depend on the BLAS
+    thread count.
     """
     budget = budget or NormBudget()
     if budget.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if not T.coefficients:
         return _zero_estimate()
-    seed = budget.seed_point if budget.seed_point is not None else space.base_point
 
     symbols = list(T.coefficients.items())
-    union: dict[GroupElement, None] = {}
-    for g, _ in symbols:
-        union.setdefault(g)
-    for g, _ in symbols:
-        union.setdefault(g.inverse())
-    union_elems = list(union)
-
-    # breadth-first closure with per-symbol target maps; -1 marks "outside"
-    index: dict[Point, int] = {seed: 0}
-    order: list[Point] = [seed]
-    depth: list[int] = [0]
-    raw_targets: dict[GroupElement, list[int]] = {g: [] for g in union_elems}
-    max_depth = 2 * budget.max_iterations + 1
-    i = 0
-    while i < len(order):
-        x = order[i]
-        dx = depth[i]
-        for g in union_elems:
-            y = space.apply(g, x)
-            j = index.get(y, -1)
-            if j < 0 and dx < max_depth and len(order) < budget.support_cap:
-                j = len(order)
-                index[y] = j
-                order.append(y)
-                depth.append(dx + 1)
-            raw_targets[g].append(j)
-        i += 1
-    n = len(order)
+    union_elems, window, targets = _window(T, space, budget)
+    slot = {g: u for u, g in enumerate(union_elems)}
+    n = len(targets)
 
     maps: dict[GroupElement, tuple[np.ndarray, np.ndarray]] = {}
-    for g in union_elems:
-        tgt = np.asarray(raw_targets[g], dtype=np.intp)
-        valid = tgt >= 0
-        maps[g] = (np.nonzero(valid)[0], tgt[valid])
+    for g, u in slot.items():
+        src = np.nonzero(targets[:, u] >= 0)[0]
+        maps[g] = (src, targets[src, u])
 
     fwd = [(a, *maps[g]) for g, a in symbols]
     bwd = [(a.conjugate(), *maps[g.inverse()]) for g, a in symbols]
@@ -335,11 +360,11 @@ def norm_lower_bound(
 
     v = np.zeros(n, dtype=np.complex128)
     if budget.start_vector is not None:
-        for x, c in budget.start_vector.coefficients.items():
-            j = index.get(x, -1)
+        start = list(budget.start_vector.coefficients.items())
+        for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
             if j >= 0:
                 v[j] = c
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv == 0:
             raise ValueError("start_vector support misses the explored window")
         v /= nv
@@ -352,7 +377,7 @@ def norm_lower_bound(
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
         w = matvec(fwd, v)
-        ray = float(np.linalg.norm(w) / np.linalg.norm(v))
+        ray = float(_norm(w) / _norm(v))
         if rays:
             residual = abs(ray - rays[-1])
         rays.append(ray)
@@ -360,7 +385,7 @@ def norm_lower_bound(
             converged = True
             break
         u = matvec(bwd, w)
-        nu = np.linalg.norm(u)
+        nu = _norm(u)
         if nu == 0.0:
             break
         v = u / nu
@@ -368,16 +393,21 @@ def norm_lower_bound(
             small = np.abs(v) < budget.prune_threshold
             if small.any():
                 v[small] = 0.0
-                nv = np.linalg.norm(v)
+                nv = _norm(v)
                 if nv == 0.0:
                     break
                 v /= nv
 
     nz = np.nonzero(v)[0]
-    witness = StateVector(space, {order[int(j)]: complex(v[j]) for j in nz})
+    wv = v[nz]
+    witness = StateVector(space, dict(zip(window.points(nz), wv.tolist())))
     wn = witness.norm()
-    lower = op_apply(T, witness).norm() / wn if wn > 0 else 0.0
-    radius = int(max((depth[int(j)] for j in nz), default=0))
+    if wn > 0:
+        images = window.images(np.array([slot[g] for g, _ in symbols]), nz)
+        lower = _applied_norm([a for _, a in symbols], images, wv) / wn
+    else:
+        lower = 0.0
+    radius = int(window.depth[nz].max(initial=0))
     return NormEstimate(
         lower_bound=lower,
         iterations=iterations,

@@ -83,3 +83,43 @@ def dense_compression_norm(
         mat = mat.real
     top = float(np.linalg.eigvalsh(mat)[-1])
     return math.sqrt(max(top, 0.0))
+
+
+def reference_window(T, space, budget):
+    """The estimator's window as a dict-based breadth-first loop on group elements.
+
+    The seed (``budget.seed_point`` or the base point) is closed under the
+    symbols of T followed by their inverses, point by point and symbol by
+    symbol, up to depth ``2 * max_iterations + 1`` and ``support_cap`` points.
+    Returns the points in discovery order, their depths, and for every symbol
+    the id of its image of each point (-1 outside the window).
+    """
+    seed = budget.seed_point if budget.seed_point is not None else space.base_point
+    symbols = list(T.coefficients.items())
+    union: dict[GroupElement, None] = {}
+    for g, _ in symbols:
+        union.setdefault(g)
+    for g, _ in symbols:
+        union.setdefault(g.inverse())
+    union_elems = list(union)
+
+    index: dict = {seed: 0}
+    order: list = [seed]
+    depth: list[int] = [0]
+    raw_targets: dict[GroupElement, list[int]] = {g: [] for g in union_elems}
+    max_depth = 2 * budget.max_iterations + 1
+    i = 0
+    while i < len(order):
+        x = order[i]
+        dx = depth[i]
+        for g in union_elems:
+            y = space.apply(g, x)
+            j = index.get(y, -1)
+            if j < 0 and dx < max_depth and len(order) < budget.support_cap:
+                j = len(order)
+                index[y] = j
+                order.append(y)
+                depth.append(dx + 1)
+            raw_targets[g].append(j)
+        i += 1
+    return order, depth, raw_targets

@@ -1,6 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from actrep.groups import conjugate_sequence, free_group, free_product
@@ -15,9 +21,10 @@ from actrep.operators import (
     pi_apply,
     triangle_upper_bound,
 )
+from actrep import operators, spaces
 from actrep.spaces import CayleySpace
 
-from oracles import dense_compression_norm
+from oracles import dense_compression_norm, reference_window
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -26,6 +33,9 @@ SPACE = CayleySpace(F2)
 
 Z2Z3 = free_product([2, 3], names=("s", "t"))
 S23 = CayleySpace(Z2Z3)
+
+Z3Z4 = free_product([3, 4], names=("p", "q"))
+S34 = CayleySpace(Z3Z4)
 
 # frozen from tests/oracles.py dense_compression_norm (depth 5, node cap 5000),
 # committed before the estimator existed; values are certified lower bounds on
@@ -277,3 +287,117 @@ def test_norm_lower_bound_deterministic():
     assert e1.lower_bound == e2.lower_bound
     assert e1.iterations == e2.iterations
     assert e1.witness == e2.witness
+
+
+def _window_cases():
+    """Random operators with long words and e, seeds and caps, on three groups."""
+    rng = random.Random(20)
+    for space in (SPACE, S23, S34):
+        pres = space.presentation
+        for cap, max_iterations in ((1, 3), (2, 3), (37, 1), (37, 4), (400, 2)):
+            for _ in range(3):
+                T = random_operator(rng, pres, n_terms=rng.randrange(1, 6), max_len=12)
+                T = T + FormalOperator(pres, {pres.identity(): complex(rng.uniform(-1, 1), 0.5)})
+                seed = random_element(rng, pres, 8)
+                yield T, space, NormBudget(max_iterations, cap, seed_point=seed)
+
+
+def test_window_matches_reference_closure():
+    # the integer window reproduces the dict-based breadth-first loop exactly
+    cases = 0
+    for T, space, budget in _window_cases():
+        points, depths, targets = reference_window(T, space, budget)
+        union, window, got = operators._window(T, space, budget)
+        assert union == list(targets)
+        assert window.points(range(window.size)) == points
+        assert window.depth.tolist() == depths
+        assert got.dtype == np.int32
+        for u, g in enumerate(union):
+            assert got[:, u].tolist() == targets[g]
+        cases += 1
+    assert cases == 45
+
+
+def test_norm_lower_bound_equals_exact_reapplication():
+    # re-certification on window ids is bit-identical to op_apply on the witness
+    for T, space, budget in _window_cases():
+        est = norm_lower_bound(T, space, budget)
+        w = est.witness
+        assert est.lower_bound == op_apply(T, w).norm() / w.norm()
+
+
+def test_window_exact_when_all_fingerprints_collide(monkeypatch):
+    conj = conjugate_sequence(B, A, 3)
+    T = FormalOperator(F2, {c: complex(1.0 / 3, 0.1 * i) for i, c in enumerate(conj)})
+    # the cap leaves witness images outside the window, so their labelling collides too
+    budget = NormBudget(max_iterations=6, support_cap=40, seed_point=A * B)
+    union, window, targets = operators._window(T, SPACE, budget)
+    est = norm_lower_bound(T, SPACE, budget)
+    monkeypatch.setattr(spaces, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    union2, window2, targets2 = operators._window(T, SPACE, budget)
+    assert window2.points(range(window2.size)) == window.points(range(window.size))
+    assert window2.depth.tolist() == window.depth.tolist()
+    assert np.array_equal(targets2, targets)
+    again = norm_lower_bound(T, SPACE, budget)
+    assert again.witness == est.witness
+    assert again.lower_bound == est.lower_bound
+    assert (again.iterations, again.residual) == (est.iterations, est.residual)
+
+
+def test_norm_lower_bound_start_vector_ignores_points_outside_window():
+    conj = conjugate_sequence(B, A, 3)
+    T = FormalOperator(F2, {c: 1.0 / 3 for c in conj})
+    budget = NormBudget(max_iterations=5, support_cap=60)
+    inside = {E: 0.5, conj[0]: 0.25 - 0.5j}
+    outside = {A ** 40: 3.0, B ** -40: 1j}
+
+    def start(coefficients):
+        return replace(budget, start_vector=StateVector(SPACE, coefficients))
+
+    mixed = norm_lower_bound(T, SPACE, start({**inside, **outside}))
+    only = norm_lower_bound(T, SPACE, start(inside))
+    assert mixed.lower_bound == only.lower_bound
+    assert mixed.witness == only.witness
+    assert mixed.iterations == only.iterations
+    with pytest.raises(ValueError, match="misses the explored window"):
+        norm_lower_bound(T, SPACE, start(outside))
+
+
+def test_window_takes_large_exponents_and_refuses_int64_overflow():
+    # exponents far past 32 bits are exact; ones that could wrap int64 raise
+    from actrep.groups import reduce
+
+    T = FormalOperator(F2, {reduce(F2, [(0, 1 << 50)]): 0.5, B: 0.5j})
+    budget = NormBudget(max_iterations=2, support_cap=50, seed_point=reduce(F2, [(0, -(1 << 52))]))
+    points, _, _ = reference_window(T, SPACE, budget)
+    _, window, _ = operators._window(T, SPACE, budget)
+    assert window.points(range(window.size)) == points
+    est = norm_lower_bound(T, SPACE, budget)
+    assert 0.5 < est.lower_bound <= 1.0  # the exact norm is 1 (two free unitaries)
+    assert est.lower_bound == op_apply(T, est.witness).norm() / est.witness.norm()
+    with pytest.raises(OverflowError):
+        norm_lower_bound(FormalOperator(F2, {reduce(F2, [(0, 1 << 60)]): 1.0}), SPACE)
+
+
+_THREADS_PROBE = """
+from actrep.groups import conjugate_sequence, free_group
+from actrep.operators import FormalOperator, norm_lower_bound
+from actrep.spaces import CayleySpace
+F2 = free_group(2)
+a, b = F2.generators()
+T = FormalOperator(F2, {c: 1.0 / 8 for c in conjugate_sequence(b, a, 8)})
+est = norm_lower_bound(T, CayleySpace(F2))
+print(est.lower_bound.hex(), est.residual.hex())
+"""
+
+
+def test_estimate_independent_of_blas_threads():
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1]
