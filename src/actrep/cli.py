@@ -31,16 +31,16 @@ from .operators import (
     NormBudget,
     NormEstimate,
     StateVector,
-    norm_lower_bound,
     triangle_upper_bound,
 )
 from .spaces import BudgetExceededError, CayleySpace, orbit_decompose
 from .dynamics import (
     FALSIFIED,
-    INCONCLUSIVE,
     PASS,
+    EnvelopeReport,
     averaging_decay_report,
     canonical_trace,
+    envelope_sweep,
     finite_order_blowup,
     ideal_experiment,
     pingpong_certificate,
@@ -101,10 +101,6 @@ def parse_word(text: str, presentation: FreeProductPresentation) -> GroupElement
             exp = 1
         raw.append((name_to_index[name], exp))
     return reduce(presentation, raw)
-
-
-def render_word(x: GroupElement) -> str:
-    return x.render()
 
 
 def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOperator:
@@ -333,12 +329,6 @@ class ExperimentResult:
     witness: dict | None = None
 
 
-def _row_verdict(falsified: bool, converged: bool) -> str:
-    if falsified:
-        return FALSIFIED
-    return PASS if converged else INCONCLUSIVE
-
-
 def _witness_payload(label: str, index: int, est: NormEstimate, bound: float) -> dict:
     vec = est.witness
     return {
@@ -356,41 +346,42 @@ def _witness_payload(label: str, index: int, est: NormEstimate, bound: float) ->
 # runners
 
 
-def _start_vector(config: ExperimentConfig, seed: int | None, symbols) -> StateVector | None:
-    """Optional randomized restart: a seeded random vector near the base point."""
+def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBudget:
+    """The estimator budget; a seed adds a random start vector supported on
+    the base point and its images under ``symbols``."""
     if seed is None:
-        return None
+        return config.budgets.norm_budget()
     rng = random.Random(seed)
     space = CayleySpace(config.presentation)
     points = [space.base_point] + [g * space.base_point for g in symbols]
     coeffs = {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in points}
-    return StateVector(space, coeffs)
+    return config.budgets.norm_budget(StateVector(space, coeffs))
+
+
+def _sweep_result(label: str, ph: str, rep: EnvelopeReport, summary: list[str]) -> ExperimentResult:
+    """One CSV row per sweep row, the verdict line, and the witness of the
+    first row whose certified estimate exceeds its bound plus slack."""
+    rows = [
+        ResultRow(
+            label, ph, r.J, r.bound, r.estimate.lower_bound, r.estimate.residual,
+            r.estimate.support_size, r.estimate.converged, r.verdict,
+        )
+        for r in rep.rows
+    ]
+    first = next((r for r in rep.rows if r.falsified), None)
+    witness = None if first is None else _witness_payload(label, first.J, first.estimate, first.bound)
+    return ExperimentResult(rows, rep.verdict, summary + [f"verdict: {rep.verdict}"], witness)
 
 
 def run_panalytic(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
     h = config.element("h")
     g = config.element("g")
     b = config.budgets
-    start = _start_vector(config, seed, [h, g.inverse() * h * g])
-    rep = verify_panalytic(
-        h, g, b.J_max, C=b.C, budget=b.norm_budget(start), slack=slack
+    budget = _norm_budget(config, seed, [h, g.inverse() * h * g])
+    rep = verify_panalytic(h, g, b.J_max, C=b.C, budget=budget, slack=slack)
+    return _sweep_result(
+        "panalytic", ph, rep, [f"panalytic: h={h} g={g} C={fmt(b.C)} J_max={b.J_max}"]
     )
-    rows, witness = [], None
-    for r in rep.rows:
-        rows.append(
-            ResultRow(
-                "panalytic", ph, r.J, r.bound, r.estimate.lower_bound,
-                r.estimate.residual, r.estimate.support_size, r.estimate.converged,
-                _row_verdict(r.falsified, r.estimate.converged),
-            )
-        )
-        if r.falsified and witness is None:
-            witness = _witness_payload("panalytic", r.J, r.estimate, r.bound)
-    summary = [
-        f"panalytic: h={h} g={g} C={fmt(rep.constant_C)} J_max={b.J_max}",
-        f"verdict: {rep.verdict}",
-    ]
-    return ExperimentResult(rows, rep.verdict, summary, witness)
 
 
 def run_average(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
@@ -398,49 +389,27 @@ def run_average(config: ExperimentConfig, ph: str, seed: int | None, slack: floa
     g = config.element("g")
     b = config.budgets
     J_list = list(b.J_list) if b.J_list else list(range(1, b.J_max + 1))
-    rep = averaging_decay_report(T, g, J_list, C=b.C, budget=b.norm_budget(), slack=slack)
-    rows, witness = [], None
-    for r in rep.rows:
-        ok = r.identity_preserved
-        falsified = r.falsified or not ok
-        rows.append(
-            ResultRow(
-                "average", ph, r.J, r.bound, r.estimate.lower_bound,
-                r.estimate.residual, r.estimate.support_size, r.estimate.converged,
-                _row_verdict(falsified, r.estimate.converged),
-            )
-        )
-        if r.falsified and witness is None:
-            witness = _witness_payload("average", r.J, r.estimate, r.bound)
+    budget = _norm_budget(config, seed, T.support)
+    rep = averaging_decay_report(T, g, J_list, C=b.C, budget=budget, slack=slack)
     summary = [
         f"average: |supp T|={len(T)} g={g} identity coefficient={rep.identity_coefficient}",
         f"off-identity l1 mass: {fmt(rep.off_identity_l1)}",
-        f"verdict: {rep.verdict}",
     ]
-    return ExperimentResult(rows, rep.verdict, summary, witness)
+    return _sweep_result("average", ph, rep, summary)
 
 
 def run_norm(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
-    space = CayleySpace(config.presentation)
-    start = _start_vector(config, seed, list(T.support))
-    est = norm_lower_bound(T, space, config.budgets.norm_budget(start))
     bound = triangle_upper_bound(T)
-    falsified = est.lower_bound > bound + slack
-    verdict = _row_verdict(falsified, est.converged)
-    rows = [
-        ResultRow(
-            "norm", ph, 0, bound, est.lower_bound, est.residual,
-            est.support_size, est.converged, verdict,
-        )
-    ]
-    witness = _witness_payload("norm", 0, est, bound) if falsified else None
+    budget = _norm_budget(config, seed, T.support)
+    space = CayleySpace(config.presentation)
+    rep = envelope_sweep([0], lambda _: T, lambda _: bound, budget, space, slack)
+    est = rep.rows[0].estimate
     summary = [
         f"norm: certified lower bound {fmt(est.lower_bound)} (l1 upper bound {fmt(bound)})",
         f"iterations={est.iterations} radius={est.radius_hint} converged={est.converged}",
-        f"verdict: {verdict}",
     ]
-    return ExperimentResult(rows, verdict, summary, witness)
+    return _sweep_result("norm", ph, rep, summary)
 
 
 def run_trace(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
@@ -549,29 +518,18 @@ def run_ideal(config: ExperimentConfig, ph: str, seed: int | None, slack: float)
     k = config.element("k")
     g = config.element("g")
     b = config.budgets
-    rep = ideal_experiment(T, k, g, b.J_max, C=b.C, budget=b.norm_budget(), slack=slack)
-    rows, witness = [], None
-    for r in rep.rows:
-        rows.append(
-            ResultRow(
-                "ideal", ph, r.J, r.bound, r.residual_norm_estimate.lower_bound,
-                r.residual_norm_estimate.residual, r.residual_norm_estimate.support_size,
-                r.residual_norm_estimate.converged,
-                _row_verdict(r.falsified, True),
-            )
-        )
-        if r.falsified and witness is None:
-            witness = _witness_payload("ideal", r.J, r.residual_norm_estimate, r.bound)
+    budget = _norm_budget(config, seed, T.translate_left(k.inverse()).support)
+    rep = ideal_experiment(T, k, g, b.J_max, C=b.C, budget=budget, slack=slack)
     summary = [
-        f"ideal: pivot k={k} with coefficient {rep.a_k}, g={g}, threshold |a_k|/2 = {fmt(abs(rep.a_k) / 2)}",
+        f"ideal: pivot k={k} with coefficient {rep.identity_coefficient}, g={g}, "
+        f"threshold |a_k|/2 = {fmt(rep.threshold)}",
         (
             f"decay envelope first drops below the threshold at J = {rep.success_J}"
             if rep.success_J is not None
             else f"decay envelope stays above the threshold through J = {b.J_max}"
         ),
-        f"verdict: {rep.verdict}",
     ]
-    return ExperimentResult(rows, rep.verdict, summary, witness)
+    return _sweep_result("ideal", ph, rep, summary)
 
 
 RUNNERS = {
@@ -700,7 +658,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None, help="CSV output path")
-        p.add_argument("--csv", action="store_true", help="write CSV output (always on)")
         p.add_argument("--svg", action="store_true", help="also write a small SVG chart")
         p.add_argument("--seed", type=int, default=None, help="randomized-restart seed")
         p.add_argument("--slack", type=float, default=1e-9, help="falsification slack")

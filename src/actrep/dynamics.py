@@ -16,6 +16,7 @@ while staying below it is consistency within budgets, never a proof.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .groups import (
@@ -196,38 +197,76 @@ def finite_order_blowup(h: GroupElement, g: GroupElement, N: int) -> BlowupResul
 
 
 # ---------------------------------------------------------------------------
-# norm-bound reports
+# envelope sweeps
 
 
 @dataclass
-class PAnalyticRow:
+class EnvelopeRow:
     J: int
+    operator: FormalOperator
     estimate: NormEstimate
     bound: float
-    falsified: bool
-
-
-@dataclass
-class PAnalyticReport:
-    """Per-J comparison of the averaged-operator norm against C/sqrt(J).
-
-    FALSIFIED as soon as one certified estimate exceeds its bound plus
-    slack; INCONCLUSIVE when nothing falsified but some estimate failed to
-    stabilize; PASS otherwise.
-    """
-
-    h: GroupElement
-    g: GroupElement
-    constant_C: float
-    slack: float
-    rows: list[PAnalyticRow]
+    falsified: bool  # the certified estimate exceeds the bound plus slack
     verdict: str
 
 
-def _overall_verdict(falsified: bool, all_converged: bool) -> str:
-    if falsified:
-        return FALSIFIED
-    return PASS if all_converged else INCONCLUSIVE
+@dataclass
+class EnvelopeReport:
+    """Per-J comparison of certified norm estimates against an envelope.
+
+    The verdict is the worst row verdict (FALSIFIED, then INCONCLUSIVE, then
+    PASS).  The averaging sweeps also record the identity coefficient that
+    averaging preserves and the l1 mass off the identity that scales their
+    envelope; the ideal sweep adds its threshold |a_k|/2 and success_J, the
+    first J whose envelope drops below that threshold.
+    """
+
+    rows: list[EnvelopeRow]
+    slack: float
+    verdict: str
+    identity_coefficient: complex | None = None
+    off_identity_l1: float | None = None
+    threshold: float | None = None
+    success_J: int | None = None
+
+
+_SEVERITY = (PASS, INCONCLUSIVE, FALSIFIED)
+
+
+def envelope_sweep(
+    J_values: Iterable[int],
+    operator_for_J: Callable[[int], FormalOperator],
+    envelope_for_J: Callable[[int], float],
+    budget: NormBudget | None,
+    space: ActionSpace,
+    slack: float = DEFAULT_SLACK,
+    *,
+    identity_falsifies: bool = False,
+    require_convergence: bool = True,
+) -> EnvelopeReport:
+    """Estimate each operator's norm from below and compare it with its envelope.
+
+    A row is FALSIFIED when its certified estimate exceeds the envelope plus
+    slack, or, under ``identity_falsifies``, when its operator keeps an
+    identity coefficient.  Otherwise it is PASS, unless
+    ``require_convergence`` is set and the estimate failed to stabilize,
+    which makes it INCONCLUSIVE.
+    """
+    rows: list[EnvelopeRow] = []
+    for J in J_values:
+        T = operator_for_J(J)
+        est = norm_lower_bound(T, space, budget)
+        bound = envelope_for_J(J)
+        falsified = est.lower_bound > bound + slack
+        if falsified or (identity_falsifies and T.identity_coefficient != 0j):
+            verdict = FALSIFIED
+        elif est.converged or not require_convergence:
+            verdict = PASS
+        else:
+            verdict = INCONCLUSIVE
+        rows.append(EnvelopeRow(J, T, est, bound, falsified, verdict))
+    worst = max((r.verdict for r in rows), key=_SEVERITY.index, default=PASS)
+    return EnvelopeReport(rows, slack, worst)
 
 
 def verify_panalytic(
@@ -238,12 +277,14 @@ def verify_panalytic(
     budget: NormBudget | None = None,
     space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
-) -> PAnalyticReport:
+) -> EnvelopeReport:
     """Probe the square-summable bound on uniform conjugation averages.
 
     For each J up to J_max the operator (1/J) sum_j pi(g^-j h g^j) is built
     symbolically and its norm is estimated from below; the uniform weight
     sequence has l2 norm 1/sqrt(J), so the claimed upper bound is C/sqrt(J).
+    INCONCLUSIVE when nothing falsified but some estimate failed to
+    stabilize.
     """
     if h.is_identity:
         raise DegenerateInputError("h must be nontrivial")
@@ -251,47 +292,44 @@ def verify_panalytic(
         raise ValueError("J_max must be >= 1")
     if C <= 0:
         raise ValueError("C must be positive")
-    space = _self_action(space, h.presentation)
-    rows: list[PAnalyticRow] = []
-    for J in range(1, J_max + 1):
-        T = build_Ta(h, g, CoefficientSequence.uniform(J))
-        est = norm_lower_bound(T, space, budget)
-        bound = C / math.sqrt(J)
-        rows.append(PAnalyticRow(J, est, bound, est.lower_bound > bound + slack))
-    return PAnalyticReport(
-        h=h,
-        g=g,
-        constant_C=C,
-        slack=slack,
-        rows=rows,
-        verdict=_overall_verdict(
-            any(r.falsified for r in rows), all(r.estimate.converged for r in rows)
-        ),
+    return envelope_sweep(
+        range(1, J_max + 1),
+        lambda J: build_Ta(h, g, CoefficientSequence.uniform(J)),
+        lambda J: C / math.sqrt(J),
+        budget,
+        _self_action(space, h.presentation),
+        slack,
     )
 
 
-@dataclass
-class DecayRow:
-    J: int
-    residual_operator: FormalOperator
-    estimate: NormEstimate
-    bound: float
-    falsified: bool
-    identity_preserved: bool
-
-
-@dataclass
-class AveragingDecayReport:
-    """M_J(T) minus its identity part against the (C/sqrt(J)) sum |a_h| envelope."""
-
-    T: FormalOperator
-    g: GroupElement
-    constant_C: float
-    slack: float
-    identity_coefficient: complex
-    off_identity_l1: float
-    rows: list[DecayRow]
-    verdict: str
+def _averaging_sweep(
+    T: FormalOperator,
+    g: GroupElement,
+    J_values: Iterable[int],
+    C: float,
+    budget: NormBudget | None,
+    space: ActionSpace | None,
+    slack: float,
+    **rules: bool,
+) -> EnvelopeReport:
+    """Sweep the residuals M_J(T) - a_e e against (C/sqrt(J)) sum_{h != e} |a_h|."""
+    pres = T.presentation
+    e = pres.identity()
+    a_e = T.identity_coefficient
+    sum_f = math.fsum(abs(c) for s, c in T.coefficients.items() if s != e)
+    unit_e = FormalOperator(pres, {e: a_e})
+    rep = envelope_sweep(
+        J_values,
+        lambda J: average_MJ(T, g, J) - unit_e,
+        lambda J: (C / math.sqrt(J)) * sum_f,
+        budget,
+        _self_action(space, pres),
+        slack,
+        **rules,
+    )
+    rep.identity_coefficient = a_e
+    rep.off_identity_l1 = sum_f
+    return rep
 
 
 def averaging_decay_report(
@@ -302,74 +340,15 @@ def averaging_decay_report(
     budget: NormBudget | None = None,
     space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
-) -> AveragingDecayReport:
+) -> EnvelopeReport:
     """Check that averaging kills the off-identity part at rate C/sqrt(J).
 
     For each J the residual M_J(T) - a_e e is formed symbolically (its
     identity coefficient cancels exactly) and its norm estimate is compared
-    against (C/sqrt(J)) times the l1 mass of T off the identity.
+    against (C/sqrt(J)) times the l1 mass of T off the identity.  A residual
+    that keeps an identity coefficient falsifies its row.
     """
-    pres = T.presentation
-    space = _self_action(space, pres)
-    e = pres.identity()
-    a_e = T.identity_coefficient
-    sum_f = math.fsum(abs(c) for s, c in T.coefficients.items() if s != e)
-    unit_e = FormalOperator(pres, {e: a_e}) if a_e != 0 else FormalOperator(pres, {})
-    rows: list[DecayRow] = []
-    for J in J_list:
-        avg = average_MJ(T, g, J)
-        residual = avg - unit_e
-        identity_ok = residual.identity_coefficient == 0j
-        est = norm_lower_bound(residual, space, budget)
-        bound = (C / math.sqrt(J)) * sum_f
-        rows.append(
-            DecayRow(J, residual, est, bound, est.lower_bound > bound + slack, identity_ok)
-        )
-    falsified = any(r.falsified for r in rows) or not all(r.identity_preserved for r in rows)
-    return AveragingDecayReport(
-        T=T,
-        g=g,
-        constant_C=C,
-        slack=slack,
-        identity_coefficient=a_e,
-        off_identity_l1=sum_f,
-        rows=rows,
-        verdict=_overall_verdict(falsified, all(r.estimate.converged for r in rows)),
-    )
-
-
-@dataclass
-class IdealRow:
-    J: int
-    identity_coefficient: complex
-    residual_operator: FormalOperator
-    residual_norm_estimate: NormEstimate
-    threshold: float
-    bound: float
-    bound_below_threshold: bool
-    falsified: bool
-
-
-@dataclass
-class IdealExperimentReport:
-    """The norm-perturbation bookkeeping behind the simplicity argument.
-
-    T is left-translated by the pivot inverse so the pivot coefficient sits
-    at the identity; averaging then preserves it exactly while the decay
-    envelope (C/sqrt(J)) sum |a_h| eventually drops below |a_k|/2, the margin
-    at which a perturbed average stays invertibly close to a_k times the
-    identity.  success_J is the first J where that happens.
-    """
-
-    T: FormalOperator
-    pivot: GroupElement
-    a_k: complex
-    g: GroupElement
-    constant_C: float
-    slack: float
-    rows: list[IdealRow]
-    success_J: int | None
-    verdict: str
+    return _averaging_sweep(T, g, J_list, C, budget, space, slack, identity_falsifies=True)
 
 
 def ideal_experiment(
@@ -381,68 +360,38 @@ def ideal_experiment(
     budget: NormBudget | None = None,
     space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
-) -> IdealExperimentReport:
+) -> EnvelopeReport:
     """Translate T by the pivot, average, and find where the bound closes.
 
-    The verdict certifies exact arithmetic: the translated operator carries
-    the pivot coefficient at the identity through every average, and
-    success_J is pure arithmetic on the decay envelope.  Norm estimates are
-    reported per row as diagnostics; a row only counts against the verdict
-    if it falsifies the envelope outright.
+    This is the norm-perturbation bookkeeping behind the simplicity
+    argument.  T is left-translated by the pivot inverse so the pivot
+    coefficient a_k sits at the identity; averaging then preserves it
+    exactly while the decay envelope (C/sqrt(J)) sum |a_h| eventually drops
+    below |a_k|/2, the margin at which a perturbed average stays invertibly
+    close to a_k times the identity.  success_J is the first J where that
+    happens.
+
+    The verdict certifies exact arithmetic: every residual must lose its
+    identity coefficient and success_J must exist, or the report is
+    INCONCLUSIVE.  Norm estimates are reported per row as diagnostics; a row
+    only counts against the verdict if it falsifies the envelope outright.
     """
     a_k = T[k]
     if a_k == 0:
         raise DegenerateInputError("pivot coefficient must be nonzero")
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
-    pres = T.presentation
-    space = _self_action(space, pres)
-    e = pres.identity()
     T0 = T.translate_left(k.inverse())
     assert T0.identity_coefficient == a_k  # relocation moves, never recomputes
-    threshold = abs(a_k) / 2.0
-    sum_f = math.fsum(abs(c) for s, c in T0.coefficients.items() if s != e)
-    unit_e = FormalOperator(pres, {e: a_k})
-    rows: list[IdealRow] = []
-    success_J: int | None = None
-    for J in range(1, J_max + 1):
-        avg = average_MJ(T0, g, J)
-        residual = avg - unit_e
-        est = norm_lower_bound(residual, space, budget)
-        bound = (C / math.sqrt(J)) * sum_f
-        below = bound < threshold
-        if below and success_J is None:
-            success_J = J
-        rows.append(
-            IdealRow(
-                J=J,
-                identity_coefficient=avg.identity_coefficient,
-                residual_operator=residual,
-                residual_norm_estimate=est,
-                threshold=threshold,
-                bound=bound,
-                bound_below_threshold=below,
-                falsified=est.lower_bound > bound + slack,
-            )
-        )
-    pivots_exact = all(r.identity_coefficient == a_k for r in rows)
-    if any(r.falsified for r in rows):
-        verdict = FALSIFIED
-    elif success_J is not None and pivots_exact:
-        verdict = PASS
-    else:
-        verdict = INCONCLUSIVE
-    return IdealExperimentReport(
-        T=T,
-        pivot=k,
-        a_k=a_k,
-        g=g,
-        constant_C=C,
-        slack=slack,
-        rows=rows,
-        success_J=success_J,
-        verdict=verdict,
+    rep = _averaging_sweep(
+        T0, g, range(1, J_max + 1), C, budget, space, slack, require_convergence=False
     )
+    rep.threshold = abs(a_k) / 2.0
+    rep.success_J = next((r.J for r in rep.rows if r.bound < rep.threshold), None)
+    pivots_exact = all(r.operator.identity_coefficient == 0j for r in rep.rows)
+    if rep.verdict == PASS and (rep.success_J is None or not pivots_exact):
+        rep.verdict = INCONCLUSIVE
+    return rep
 
 
 # ---------------------------------------------------------------------------

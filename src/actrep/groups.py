@@ -60,9 +60,6 @@ class FreeProductPresentation:
     def rank(self) -> int:
         return len(self.factor_orders)
 
-    def is_finite_factor(self, index: int) -> bool:
-        return self.factor_orders[index] != INFINITE
-
     def identity(self) -> "GroupElement":
         return GroupElement(self, ())
 
@@ -142,10 +139,6 @@ class GroupElement:
     def syllable_count(self) -> int:
         return len(self.syllables)
 
-    def first_factor(self) -> int | None:
-        """Factor index of the leading syllable, or None for the identity."""
-        return self.syllables[0][0] if self.syllables else None
-
     def word_length(self) -> int:
         """Word length for the generating set made of all factor generators.
 
@@ -200,17 +193,13 @@ class GroupElement:
         return GroupElement(self.presentation, syl)
 
     def __pow__(self, n: int) -> "GroupElement":
-        if n == 0:
-            return self.presentation.identity()
-        base = self if n > 0 else self.inverse()
-        acc = base
-        for _ in range(abs(n) - 1):
-            acc = acc * base
-        return acc
-
-    def conjugate_by(self, g: "GroupElement") -> "GroupElement":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """Repeated squaring: O(log |n|) products, none for |n| = 1."""
+        if n < 0:
+            return self.inverse() ** -n
+        if n <= 1:
+            return self if n else self.presentation.identity()
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
 
 # ---------------------------------------------------------------------------

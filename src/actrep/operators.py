@@ -261,7 +261,6 @@ class NormEstimate:
     support_size: int
     radius_hint: int
     converged: bool
-    ratio_max: float = 0.0
     witness: StateVector | None = None
 
 
@@ -273,7 +272,7 @@ def _norm(v: np.ndarray) -> np.float64:
 
 
 def _zero_estimate() -> NormEstimate:
-    return NormEstimate(0.0, 0, 0.0, 0, 0, True, 0.0, None)
+    return NormEstimate(0.0, 0, 0.0, 0, 0, True, None)
 
 
 def _window(T: FormalOperator, space: ActionSpace, budget: NormBudget):
@@ -371,16 +370,15 @@ def norm_lower_bound(
     else:
         v[0] = 1.0
 
-    rays: list[float] = []
+    ray: float | None = None  # the latest Rayleigh value
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
         w = matvec(fwd, v)
-        ray = float(_norm(w) / _norm(v))
-        if rays:
-            residual = abs(ray - rays[-1])
-        rays.append(ray)
+        prev, ray = ray, float(_norm(w) / _norm(v))
+        if prev is not None:
+            residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
@@ -415,6 +413,5 @@ def norm_lower_bound(
         support_size=len(witness),
         radius_hint=radius,
         converged=converged,
-        ratio_max=max([lower] + rays),
         witness=witness,
     )

@@ -121,7 +121,7 @@ def test_criterion_3_averaging_decay():
     report = averaging_decay_report(T, B, [1, 2, 4, 8], C=2.0)
     ests = []
     for row in report.rows:
-        assert row.identity_preserved
+        assert row.operator.identity_coefficient == 0j
         assert row.estimate.lower_bound <= 2.0 / math.sqrt(row.J) + 1e-9
         ests.append(row.estimate.lower_bound)
     for prev, cur in zip(ests, ests[1:]):
@@ -137,10 +137,11 @@ def test_criterion_4_ideal_experiment_arithmetic():
     )
     assert report.success_J == 17
     assert report.verdict == PASS
+    assert report.identity_coefficient == 2.0
+    assert report.threshold == 1.0
     for row in report.rows:
-        assert row.identity_coefficient == 2.0
-        assert row.threshold == 1.0
-        assert row.bound_below_threshold == (row.J == 17)
+        assert row.operator.identity_coefficient == 0j
+        assert (row.bound < report.threshold) == (row.J == 17)
     _report(4, "ideal-experiment threshold closes at J=17", 60, time.perf_counter() - t0)
 
 

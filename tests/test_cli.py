@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from actrep import cli
 from actrep.cli import (
     CSV_HEADER,
     EXIT_FALSIFIED,
+    EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
     ConfigError,
@@ -17,8 +19,9 @@ from actrep.cli import (
     parse_word,
     run,
 )
+from actrep.dynamics import PASS, averaging_decay_report, ideal_experiment
 from actrep.groups import INFINITE, free_group, free_product, reduce
-from actrep.operators import FormalOperator
+from actrep.operators import FormalOperator, op_apply
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -317,3 +320,101 @@ def test_missing_config_exit_3(tmp_path, capsys):
     code = main(["panalytic", "--config", str(tmp_path / "nope.cfg")])
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+STARVED_AVERAGE_CFG = """
+presentation.orders = inf, inf
+presentation.names = a, b
+experiment = average
+operator.T = 2*e; 1*a; 0.5*b
+elements.g = b a
+budgets.J_max = 5
+budgets.max_iterations = 2
+budgets.support_cap = 300
+"""
+
+STARVED_IDEAL_CFG = """
+presentation.orders = inf, inf
+presentation.names = a, b
+experiment = ideal
+operator.T = 2*e; 1*a; 1*b
+elements.k = e
+elements.g = a b
+budgets.J_max = 17
+budgets.max_iterations = 2
+budgets.support_cap = 300
+"""
+
+
+def _csv_fields(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def _library_report(cfg, seed=None):
+    config = build_config(load_config_lines(cfg))
+    b = config.budgets
+    T, g = config.operator("T"), config.element("g")
+    if config.experiment == "average":
+        budget = cli._norm_budget(config, seed, T.support)
+        return averaging_decay_report(T, g, list(range(1, b.J_max + 1)), C=b.C, budget=budget)
+    k = config.element("k")
+    budget = cli._norm_budget(config, seed, T.translate_left(k.inverse()).support)
+    return ideal_experiment(T, k, g, b.J_max, C=b.C, budget=budget)
+
+
+@pytest.mark.parametrize(
+    "text, code, verdicts",
+    [
+        (STARVED_AVERAGE_CFG, EXIT_INCONCLUSIVE, ["false,INCONCLUSIVE"] * 5),
+        (STARVED_IDEAL_CFG, EXIT_PASS, ["false,PASS"] * 17),
+    ],
+    ids=["average", "ideal"],
+)
+def test_starved_sweep_row_verdicts(tmp_path, text, code, verdicts):
+    # average needs converged estimates for PASS; ideal ignores convergence
+    cfg = write_config(tmp_path, text)
+    experiment = "average" if "experiment = average" in text else "ideal"
+    out = tmp_path / "starved.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == code
+    fields = _csv_fields(out)
+    assert [",".join(f[7:]) for f in fields] == verdicts
+    rep = _library_report(cfg)
+    assert [f[8] for f in fields] == [r.verdict for r in rep.rows]
+
+
+@pytest.mark.parametrize("text", [STARVED_AVERAGE_CFG, STARVED_IDEAL_CFG], ids=["average", "ideal"])
+def test_seed_randomizes_average_and_ideal(tmp_path, text):
+    text = text.replace("budgets.max_iterations = 2", "budgets.max_iterations = 25")
+    text = text.replace("budgets.support_cap = 300", "budgets.support_cap = 1500")
+    text = text.replace("budgets.J_max = 17", "budgets.J_max = 4")
+    cfg = write_config(tmp_path, text)
+    experiment = "average" if "experiment = average" in text else "ideal"
+    plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+    main([experiment, "--config", cfg, "--out", str(plain)])
+    main([experiment, "--config", cfg, "--out", str(seeded), "--seed", "7"])
+    plain_est = [f[4] for f in _csv_fields(plain)]
+    seeded_rows = _csv_fields(seeded)
+    assert [f[4] for f in seeded_rows] != plain_est
+    for f in seeded_rows:
+        assert float(f[4]) <= float(f[3]) + 1e-9
+    # the CLI estimates are the library's, and each re-certifies exactly
+    rep = _library_report(cfg, seed=7)
+    assert [f[4] for f in seeded_rows] == [cli.fmt(r.estimate.lower_bound) for r in rep.rows]
+    for row in rep.rows:
+        w = row.estimate.witness
+        if w is not None:
+            assert op_apply(row.operator, w).norm() / w.norm() == row.estimate.lower_bound
+
+
+def test_runner_table_covers_experiments_and_is_read_at_call_time(tmp_path, monkeypatch):
+    assert set(cli.RUNNERS) == set(cli.EXPERIMENTS)
+    calls = []
+
+    def stub(config, ph, seed, slack):
+        calls.append((config.experiment, seed, slack))
+        return cli.ExperimentResult([], PASS, ["verdict: PASS"])
+
+    monkeypatch.setitem(cli.RUNNERS, "panalytic", stub)
+    cfg = write_config(tmp_path, PANALYTIC_CFG)
+    assert main(["panalytic", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_PASS
+    assert calls == [("panalytic", None, 1e-9)]

@@ -287,9 +287,9 @@ def test_decay_scalar_trivial():
     rep = averaging_decay_report(FormalOperator(F2, {E: 5.0}), B, [1, 3, 9], budget=LIGHT)
     assert rep.verdict == PASS
     for row in rep.rows:
-        assert row.residual_operator == FormalOperator(F2, {})
+        assert row.operator == FormalOperator(F2, {})
         assert row.estimate.lower_bound == 0.0
-        assert row.identity_preserved
+        assert row.operator.identity_coefficient == 0j
 
 
 def test_decay_single_h():
@@ -297,9 +297,9 @@ def test_decay_single_h():
     rep = averaging_decay_report(T, B, [4])
     row = rep.rows[0]
     assert row.bound == 1.0  # (2 / sqrt(4)) * 1
-    assert row.identity_preserved
+    assert row.operator.identity_coefficient == 0j
     # dual route: dense compression of the residual reaches the same value
-    oracle = dense_compression_norm(dict(row.residual_operator.coefficients), E, depth=5)
+    oracle = dense_compression_norm(dict(row.operator.coefficients), E, depth=5)
     assert abs(oracle - 0.7958353556126485) <= 1e-9
     assert oracle - 1e-3 <= row.estimate.lower_bound <= 2 * math.sqrt(3) / 4 + 1e-9
     assert not row.falsified
@@ -322,7 +322,7 @@ def test_decay_residual_never_carries_identity():
             T, B, [1, 2], budget=NormBudget(max_iterations=8, support_cap=500)
         )
         for row in rep.rows:
-            assert row.residual_operator.identity_coefficient == 0j
+            assert row.operator.identity_coefficient == 0j
 
 
 # -- the ideal experiment ------------------------------------------------------
@@ -332,18 +332,20 @@ def test_ideal_scalar_pivot():
     rep = ideal_experiment(FormalOperator(F2, {E: 2.0}), E, B, 3, budget=LIGHT)
     assert rep.success_J == 1
     assert rep.verdict == PASS
+    assert rep.identity_coefficient == 2.0
     for row in rep.rows:
-        assert row.identity_coefficient == 2.0
-        assert row.residual_operator == FormalOperator(F2, {})
+        assert row.operator.identity_coefficient == 0j
+        assert row.operator == FormalOperator(F2, {})
 
 
 def test_ideal_single_symbol_pivot():
     rep = ideal_experiment(FormalOperator(F2, {A: 1.0}), A, B, 4, budget=LIGHT)
     assert rep.success_J == 1
     assert rep.verdict == PASS
+    assert rep.identity_coefficient == 1.0
     for row in rep.rows:
-        assert row.identity_coefficient == 1.0
-        assert row.residual_norm_estimate.lower_bound == 0.0
+        assert row.operator.identity_coefficient == 0j
+        assert row.estimate.lower_bound == 0.0
 
 
 def test_ideal_threshold_crossing_arithmetic():
@@ -352,11 +354,11 @@ def test_ideal_threshold_crossing_arithmetic():
         T, E, A * B, 18, budget=NormBudget(max_iterations=25, support_cap=1500)
     )
     assert rep.success_J == 17
-    assert rep.a_k == 2.0
+    assert rep.identity_coefficient == 2.0
+    assert rep.threshold == 1.0
     for row in rep.rows:
-        assert row.identity_coefficient == 2.0
-        assert row.threshold == 1.0
-        assert row.bound_below_threshold == (row.J >= 17)
+        assert row.operator.identity_coefficient == 0j
+        assert (row.bound < rep.threshold) == (row.J >= 17)
         assert row.bound == pytest.approx(4.0 / math.sqrt(row.J), rel=1e-12)
 
 

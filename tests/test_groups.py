@@ -215,3 +215,23 @@ def test_render_forms():
 def test_elements_sort_by_rendering():
     xs = [B, E, A * B, A]
     assert [x.render() for x in sorted(xs)] == sorted(x.render() for x in xs)
+
+
+def test_power_by_squaring_matches_repeated_multiplication():
+    rng = random.Random(31)
+    for pres in (F2, Z2Z3):
+        for _ in range(40):
+            x = reduce(pres, random_raw_word(rng, pres, 6))
+            for n in range(-9, 10):
+                step = x if n >= 0 else x.inverse()
+                expected = pres.identity()
+                for _ in range(abs(n)):
+                    expected = expected * step
+                assert x ** n == expected, (x, n)
+
+
+def test_power_huge_exponent_is_logarithmic():
+    assert A ** (1 << 50) == reduce(F2, [(0, 1 << 50)])
+    conj = B.inverse() * A * B  # powers stay three syllables long
+    assert conj ** -(1 << 50) == reduce(F2, [(1, -1), (0, -(1 << 50)), (1, 1)])
+    assert T ** ((1 << 60) + 1) == T ** 2  # 2^60 + 1 = 2 mod 3
