@@ -20,24 +20,20 @@ from pathlib import Path
 
 from .groups import (
     INFINITE,
-    DegenerateInputError,
     FreeProductPresentation,
     GroupElement,
-    PresentationMismatchError,
     reduce,
 )
 from .operators import (
     FormalOperator,
     NormBudget,
-    NormEstimate,
     StateVector,
     triangle_upper_bound,
 )
-from .spaces import BudgetExceededError, CayleySpace, orbit_decompose
+from .spaces import FALSIFIED, PASS, BudgetExceededError, CayleySpace, orbit_decompose
 from .dynamics import (
-    FALSIFIED,
-    PASS,
     EnvelopeReport,
+    EnvelopeRow,
     averaging_decay_report,
     canonical_trace,
     envelope_sweep,
@@ -250,7 +246,10 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
                 if name in _INT_BUDGETS:
                     setattr(budgets, name, int(value))
                 elif name in _FLOAT_BUDGETS:
-                    setattr(budgets, name, float(value))
+                    number = float(value)
+                    if not math.isfinite(number):
+                        raise ValueError(value)
+                    setattr(budgets, name, number)
                 elif name == "J_list":
                     budgets.J_list = tuple(int(p.strip()) for p in value.split(",") if p.strip())
                 else:
@@ -323,19 +322,21 @@ class ResultRow:
 
 @dataclass
 class ExperimentResult:
-    rows: list[ResultRow]
+    """A runner's output; each row holds the ResultRow fields after ``param_hash``."""
+
+    rows: list[tuple]
     verdict: str
     summary: list[str]
-    witness: dict | None = None
+    witness: EnvelopeRow | None = None
 
 
-def _witness_payload(label: str, index: int, est: NormEstimate, bound: float) -> dict:
-    vec = est.witness
+def _witness_payload(experiment: str, row: EnvelopeRow) -> dict:
+    vec = row.estimate.witness
     return {
-        "experiment": label,
-        "index": index,
-        "bound": bound,
-        "estimate": est.lower_bound,
+        "experiment": experiment,
+        "index": row.J,
+        "bound": row.bound,
+        "estimate": row.estimate.lower_bound,
         "vector": [
             [x.render(), c.real, c.imag] for x, c in (vec.coefficients.items() if vec else ())
         ],
@@ -358,33 +359,30 @@ def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBud
     return config.budgets.norm_budget(StateVector(space, coeffs))
 
 
-def _sweep_result(label: str, ph: str, rep: EnvelopeReport, summary: list[str]) -> ExperimentResult:
-    """One CSV row per sweep row, the verdict line, and the witness of the
-    first row whose certified estimate exceeds its bound plus slack."""
+def _sweep_result(rep: EnvelopeReport, summary: list[str]) -> ExperimentResult:
+    """One value row per sweep row; the witness is the first row whose
+    certified estimate exceeds its bound plus slack."""
     rows = [
-        ResultRow(
-            label, ph, r.J, r.bound, r.estimate.lower_bound, r.estimate.residual,
+        (
+            r.J, r.bound, r.estimate.lower_bound, r.estimate.residual,
             r.estimate.support_size, r.estimate.converged, r.verdict,
         )
         for r in rep.rows
     ]
     first = next((r for r in rep.rows if r.falsified), None)
-    witness = None if first is None else _witness_payload(label, first.J, first.estimate, first.bound)
-    return ExperimentResult(rows, rep.verdict, summary + [f"verdict: {rep.verdict}"], witness)
+    return ExperimentResult(rows, rep.verdict, summary, first)
 
 
-def run_panalytic(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_panalytic(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     h = config.element("h")
     g = config.element("g")
     b = config.budgets
     budget = _norm_budget(config, seed, [h, g.inverse() * h * g])
     rep = verify_panalytic(h, g, b.J_max, C=b.C, budget=budget, slack=slack)
-    return _sweep_result(
-        "panalytic", ph, rep, [f"panalytic: h={h} g={g} C={fmt(b.C)} J_max={b.J_max}"]
-    )
+    return _sweep_result(rep, [f"panalytic: h={h} g={g} C={fmt(b.C)} J_max={b.J_max}"])
 
 
-def run_average(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_average(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     g = config.element("g")
     b = config.budgets
@@ -395,10 +393,10 @@ def run_average(config: ExperimentConfig, ph: str, seed: int | None, slack: floa
         f"average: |supp T|={len(T)} g={g} identity coefficient={rep.identity_coefficient}",
         f"off-identity l1 mass: {fmt(rep.off_identity_l1)}",
     ]
-    return _sweep_result("average", ph, rep, summary)
+    return _sweep_result(rep, summary)
 
 
-def run_norm(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_norm(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     bound = triangle_upper_bound(T)
     budget = _norm_budget(config, seed, T.support)
@@ -409,29 +407,23 @@ def run_norm(config: ExperimentConfig, ph: str, seed: int | None, slack: float) 
         f"norm: certified lower bound {fmt(est.lower_bound)} (l1 upper bound {fmt(bound)})",
         f"iterations={est.iterations} radius={est.radius_hint} converged={est.converged}",
     ]
-    return _sweep_result("norm", ph, rep, summary)
+    return _sweep_result(rep, summary)
 
 
-def run_trace(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_trace(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     value = canonical_trace(T)
     ok = True
     summary = [f"trace: coefficient at identity = {value}"]
     if "S" in config.operators:
-        S = config.operator("S")
-        ok = tracial_property_check(S, T)
+        ok = tracial_property_check(config.operator("S"), T)
         summary.append(f"tracial property (with operator S): {'holds' if ok else 'VIOLATED'}")
     verdict = PASS if ok else FALSIFIED
-    summary.append(f"verdict: {verdict}")
-    rows = [
-        ResultRow(
-            "trace", ph, 0, 0.0, value.real, value.imag, len(T), True, verdict
-        )
-    ]
+    rows = [(0, 0.0, value.real, value.imag, len(T), True, verdict)]
     return ExperimentResult(rows, verdict, summary)
 
 
-def run_orbits(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_orbits(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     space = CayleySpace(config.presentation)
     gens = [parse_word(text, config.presentation) for text in config.subgroup]
     if not gens:
@@ -441,44 +433,32 @@ def run_orbits(config: ExperimentConfig, ph: str, seed: int | None, slack: float
     sizes = [0] * len(dec.representatives)
     for label in dec.membership.values():
         sizes[label] += 1
-    rows = [
-        ResultRow("orbits", ph, i, 0.0, float(sizes[i]), 0.0, sizes[i], True, PASS)
-        for i in range(len(dec.representatives))
-    ]
+    rows = [(i, 0.0, float(size), 0.0, size, True, PASS) for i, size in enumerate(sizes)]
     summary = [
         f"orbits: {len(dec.representatives)} orbit pieces on the radius-{config.budgets.R} ball "
         f"({len(ball)} points)",
         "representatives: "
         + ", ".join(r.render() for r in dec.representatives[:12])
         + ("..." if len(dec.representatives) > 12 else ""),
-        f"verdict: {PASS}",
     ]
     return ExperimentResult(rows, PASS, summary)
 
 
-def run_pingpong(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_pingpong(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     h = config.element("h")
     g = config.element("g")
     b = config.budgets
     rep = pingpong_certificate(h, g, b.L, b.J_max, b.R, c_min=b.c_min)
+    # (bound, value, holds) of the injectivity, disjointness and displacement checks
     checks = [
-        ("injectivity", float(len(rep.trivial_words)), rep.injectivity_ok),
-        ("disjointness", float(len(rep.disjointness.collisions)), rep.disjointness.disjoint),
-        (
-            "displacement",
-            min(r.displacement / r.n for r in rep.displacement_rows),
-            rep.displacement_ok,
-        ),
+        (0.0, float(len(rep.trivial_words)), rep.injectivity_ok),
+        (0.0, float(len(rep.disjointness.collisions)), rep.disjointness.disjoint),
+        (b.c_min, min(r.displacement / r.n for r in rep.displacement_rows), rep.displacement_ok),
     ]
     rows = [
-        ResultRow(
-            "pingpong", ph, i, b.c_min if name == "displacement" else 0.0,
-            value, 0.0, rep.disjointness.words_tested, True,
-            PASS if ok else FALSIFIED,
-        )
-        for i, (name, value, ok) in enumerate(checks)
+        (i, bound, value, 0.0, rep.disjointness.words_tested, True, PASS if ok else FALSIFIED)
+        for i, (bound, value, ok) in enumerate(checks)
     ]
-    verdict = PASS if rep.verdict == PASS else FALSIFIED
     summary = [
         f"pingpong: h={h} g={g} L={b.L} J={b.J_max} R={b.R} c_min={fmt(b.c_min)}",
         f"injectivity: {'ok' if rep.injectivity_ok else 'trivial-acting words found'}"
@@ -486,34 +466,25 @@ def run_pingpong(config: ExperimentConfig, ph: str, seed: int | None, slack: flo
         f"translate disjointness: {'ok' if rep.disjointness.disjoint else f'{len(rep.disjointness.collisions)} collisions'}",
         f"displacement growth: {'ok' if rep.displacement_ok else 'sublinear'}",
         "note: PASS is consistency within budgets, not a proof",
-        f"verdict: {verdict}",
     ]
-    return ExperimentResult(rows, verdict, summary)
+    return ExperimentResult(rows, rep.verdict, summary)
 
 
-def run_blowup(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_blowup(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     h = config.element("h")
     g = config.element("g")
     N = config.budgets.N
+    # the engine raises DomainError unless the norm is exactly sqrt(N)
     res = finite_order_blowup(h, g, N)
-    expected = math.sqrt(N)
-    exact = res.norm == expected
-    verdict = PASS if exact else FALSIFIED
-    rows = [
-        ResultRow(
-            "blowup", ph, N, expected, res.norm, abs(res.norm - expected),
-            len(res.operator), True, verdict,
-        )
-    ]
+    rows = [(N, res.norm, res.norm, 0.0, len(res.operator), True, PASS)]
     summary = [
         f"blowup: h={h} g={g} (order {res.period}) N={N}",
         f"collapsed operator: sqrt(N) * pi({res.collapsed_symbol}), norm {fmt(res.norm)}",
-        f"verdict: {verdict}",
     ]
-    return ExperimentResult(rows, verdict, summary)
+    return ExperimentResult(rows, PASS, summary)
 
 
-def run_ideal(config: ExperimentConfig, ph: str, seed: int | None, slack: float) -> ExperimentResult:
+def run_ideal(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     k = config.element("k")
     g = config.element("g")
@@ -529,7 +500,7 @@ def run_ideal(config: ExperimentConfig, ph: str, seed: int | None, slack: float)
             else f"decay envelope stays above the threshold through J = {b.J_max}"
         ),
     ]
-    return _sweep_result("ideal", ph, rep, summary)
+    return _sweep_result(rep, summary)
 
 
 RUNNERS = {
@@ -601,33 +572,38 @@ def run(
         raise ConfigError(
             f"config names experiment {config.experiment!r} but {experiment!r} was invoked"
         )
+    if not math.isfinite(slack):
+        raise ConfigError(f"slack must be finite, got {fmt(slack)}")
     ph = param_hash(raw_config, seed, slack)
     out = Path(out_path or config.output or f"{experiment}.csv")
 
     runner = RUNNERS[experiment]
     try:
-        result = runner(config, ph, seed, slack)
+        result = runner(config, seed, slack)
     except BudgetExceededError as exc:
         write_csv(out, [])
         print(f"budget overflow: {exc}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
 
-    write_csv(out, result.rows)
+    rows = [ResultRow(experiment, ph, *values) for values in result.rows]
+    summary = result.summary + [f"verdict: {result.verdict}"]
+    write_csv(out, rows)
     artifacts = [str(out)]
     tpath = out.with_suffix(".txt")
-    tpath.write_text("\n".join(result.summary) + "\n")
+    tpath.write_text("\n".join(summary) + "\n")
     artifacts.append(str(tpath))
     if result.witness is not None:
         wpath = out.with_suffix(".witness.json")
-        wpath.write_text(json.dumps(result.witness, indent=1, sort_keys=True) + "\n")
+        payload = _witness_payload(experiment, result.witness)
+        wpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         artifacts.append(str(wpath))
     if emit_svg:
         spath = out.with_suffix(".svg")
-        write_svg(spath, result.rows)
+        write_svg(spath, rows)
         artifacts.append(str(spath))
 
-    for line in result.summary:
+    for line in summary:
         print(line)
     print("artifacts: " + ", ".join(artifacts))
     if result.verdict == PASS:
@@ -673,10 +649,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             slack=args.slack,
         )
-    except (ConfigError, WordParseError, DegenerateInputError, PresentationMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

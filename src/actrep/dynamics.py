@@ -34,12 +34,7 @@ from .operators import (
     NormEstimate,
     norm_lower_bound,
 )
-from .spaces import ActionSpace, CayleySpace, Point
-
-PASS = "PASS"
-FALSIFIED = "FALSIFIED"
-INCONCLUSIVE = "INCONCLUSIVE"
-FAIL = "FAIL"
+from .spaces import FALSIFIED, INCONCLUSIVE, PASS, ActionSpace, CayleySpace, Point
 
 DEFAULT_SLACK = 1e-9
 
@@ -161,7 +156,6 @@ class BlowupResult:
     norm: float
     collapsed_symbol: GroupElement
     period: int
-    N: int
 
 
 def finite_order_blowup(h: GroupElement, g: GroupElement, N: int) -> BlowupResult:
@@ -192,7 +186,6 @@ def finite_order_blowup(h: GroupElement, g: GroupElement, N: int) -> BlowupResul
         norm=value,
         collapsed_symbol=base,
         period=m,
-        N=N,
     )
 
 
@@ -506,6 +499,19 @@ class DisplacementRow:
     required: float
 
 
+def _displacement(
+    space: ActionSpace, w: GroupElement, n_max: int, c_min: float
+) -> tuple[list[DisplacementRow], bool]:
+    """d(x0, w^n x0) for n up to n_max, and whether each is at least c_min * n."""
+    rows: list[DisplacementRow] = []
+    current = w
+    for n in range(1, n_max + 1):
+        d = space.distance(space.base_point, space.apply(current, space.base_point))
+        rows.append(DisplacementRow(n, d, c_min * n))
+        current = current * w
+    return rows, not any(r.displacement < r.required for r in rows)
+
+
 @dataclass
 class PingPongReport:
     """Budgeted consistency certificate for the pair (h, g).
@@ -517,12 +523,6 @@ class PingPongReport:
     words containing a g-syllable must move something.
     """
 
-    h: GroupElement
-    g: GroupElement
-    L: int
-    J: int
-    R: int
-    c_min: float
     trivial_words: list[GroupElement]
     injectivity_ok: bool
     elliptic_ok: bool
@@ -565,23 +565,11 @@ def pingpong_certificate(
 
     disjointness = check_Wj_disjoint(h, g, J, L, space.base_point, space, word_cap)
 
-    displacement_rows: list[DisplacementRow] = []
-    displacement_ok = True
-    for n in range(1, J + 1):
-        d = space.distance(space.base_point, space.apply(g ** n, space.base_point))
-        displacement_rows.append(DisplacementRow(n, d, c_min * n))
-        if d < c_min * n:
-            displacement_ok = False
+    displacement_rows, displacement_ok = _displacement(space, g, J, c_min)
     verdict = (
-        PASS if (injectivity_ok and disjointness.disjoint and displacement_ok) else FAIL
+        PASS if (injectivity_ok and disjointness.disjoint and displacement_ok) else FALSIFIED
     )
     return PingPongReport(
-        h=h,
-        g=g,
-        L=L,
-        J=J,
-        R=R,
-        c_min=c_min,
         trivial_words=trivial,
         injectivity_ok=injectivity_ok,
         elliptic_ok=elliptic_ok,
@@ -597,7 +585,6 @@ class LoxodromicReport:
     word: GroupElement
     rows: list[DisplacementRow]
     rate: float
-    ok: bool
     verdict: str
 
 
@@ -622,16 +609,6 @@ def loxodromic_probe(
         raise ValueError("n_max must be >= 1")
     space = _self_action(space, g1.presentation)
     w = (g1 ** l) * (g2 ** k)
-    rows: list[DisplacementRow] = []
-    ok = True
-    current = w
-    for n in range(1, n_max + 1):
-        d = space.distance(space.base_point, space.apply(current, space.base_point))
-        rows.append(DisplacementRow(n, d, c_min * n))
-        if d < c_min * n:
-            ok = False
-        current = current * w
+    rows, ok = _displacement(space, w, n_max, c_min)
     rate = rows[-1].displacement / n_max
-    return LoxodromicReport(
-        word=w, rows=rows, rate=rate, ok=ok, verdict=PASS if ok else FAIL
-    )
+    return LoxodromicReport(word=w, rows=rows, rate=rate, verdict=PASS if ok else FALSIFIED)

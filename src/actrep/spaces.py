@@ -29,6 +29,11 @@ Point = GroupElement
 #: Default ceiling on enumerated ball size, keeping worst-case memory near 1 GB.
 DEFAULT_BALL_CAP = 5_000_000
 
+#: The one verdict vocabulary of every check and experiment.
+PASS = "PASS"
+FALSIFIED = "FALSIFIED"
+INCONCLUSIVE = "INCONCLUSIVE"
+
 
 class BudgetExceededError(RuntimeError):
     """An enumeration outgrew its configured cardinality cap."""
@@ -114,6 +119,9 @@ class CayleySpace:
 #: Elements of one transient (point, symbol, column) array while a window
 #: grows; block sizes follow from it, the symbol count and the row width.
 _BLOCK_ELEMENTS = 1 << 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_OVERFLOW = "syllable exponents too large for the integer window"
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -221,7 +229,10 @@ class CayleyWindow:
     def _encode(self, x: GroupElement) -> list[int]:
         if x.presentation != self.presentation:
             raise PresentationMismatchError("point of a different presentation")
-        return [e * self._rank + f for f, e in x.syllables]
+        codes = [e * self._rank + f for f, e in x.syllables]
+        if any(abs(c) > _INT64_MAX for c in codes):
+            raise OverflowError(_OVERFLOW)
+        return codes
 
     @staticmethod
     def _pack(codes: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +389,8 @@ class CayleyWindow:
         R = self._rank
         steps = min(max_depth, cap) + 1
         reach = _max_exponent(self._rows, R) + steps * _max_exponent(self._sym, R)
-        if (reach + 1) * R > np.iinfo(np.int64).max:
-            raise OverflowError("syllable exponents too large for the integer window")
+        if (reach + 1) * R > _INT64_MAX:
+            raise OverflowError(_OVERFLOW)
         U = len(self._sym)
         blocks: list[np.ndarray] = []
         lo = 0
@@ -497,7 +508,7 @@ class FaithfulnessReport:
     failures: list[GroupElement]
     words_checked: int
     ball_size: int
-    verdict: str  # "PASS" | "FAIL"
+    verdict: str  # PASS | FALSIFIED
 
 
 def faithfulness_check(
@@ -529,5 +540,5 @@ def faithfulness_check(
                 break
         else:
             failures.append(w)
-    verdict = "PASS" if not failures else "FAIL"
+    verdict = PASS if not failures else FALSIFIED
     return FaithfulnessReport(witnesses, failures, checked, len(ball), verdict)

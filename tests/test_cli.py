@@ -22,6 +22,7 @@ from actrep.cli import (
 from actrep.dynamics import PASS, averaging_decay_report, ideal_experiment
 from actrep.groups import INFINITE, free_group, free_product, reduce
 from actrep.operators import FormalOperator, op_apply
+from actrep.spaces import CayleySpace
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -410,7 +411,7 @@ def test_runner_table_covers_experiments_and_is_read_at_call_time(tmp_path, monk
     assert set(cli.RUNNERS) == set(cli.EXPERIMENTS)
     calls = []
 
-    def stub(config, ph, seed, slack):
+    def stub(config, seed, slack):
         calls.append((config.experiment, seed, slack))
         return cli.ExperimentResult([], PASS, ["verdict: PASS"])
 
@@ -418,3 +419,85 @@ def test_runner_table_covers_experiments_and_is_read_at_call_time(tmp_path, monk
     cfg = write_config(tmp_path, PANALYTIC_CFG)
     assert main(["panalytic", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_PASS
     assert calls == [("panalytic", None, 1e-9)]
+
+
+TORSION_CFG = """
+presentation.orders = 2, 3
+presentation.names = s, t
+experiment = panalytic
+elements.h = t
+elements.g = s
+budgets.J_max = 32
+budgets.max_iterations = 60
+budgets.support_cap = 6000
+"""
+
+PINGPONG_CFG = """
+presentation.orders = inf, inf
+presentation.names = a, b
+experiment = pingpong
+elements.h = a
+elements.g = b
+budgets.L = 4
+budgets.J_max = 4
+budgets.R = 4
+"""
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [
+        (TORSION_CFG, ["--slack", "nan"]),
+        (TORSION_CFG, ["--slack", "inf"]),
+        (TORSION_CFG, ["--slack=-inf"]),
+        (TORSION_CFG + "budgets.C = nan\n", []),
+        (TORSION_CFG + "budgets.C = inf\n", []),
+        (TORSION_CFG + "budgets.prune_threshold = nan\n", []),
+        (TORSION_CFG + "budgets.residual_target = -inf\n", []),
+        (PINGPONG_CFG + "budgets.c_min = nan\n", []),
+        (PINGPONG_CFG + "budgets.c_min = inf\n", []),
+    ],
+    ids=[
+        "slack-nan", "slack-inf", "slack-minus-inf", "C-nan", "C-inf", "prune-nan",
+        "residual-minus-inf", "c_min-nan", "c_min-inf",
+    ],
+)
+def test_non_finite_floats_exit_3(tmp_path, capsys, text, extra):
+    # NaN compares false, so a NaN slack or envelope would never falsify
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    experiment = "pingpong" if "pingpong" in text else "panalytic"
+    assert main([experiment, "--config", cfg, "--out", str(out), *extra]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent", [1 << 62, 1 << 60])
+def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
+    # 2^62 leaves int64 as soon as the word is encoded, 2^60 once the window
+    # closure could grow it
+    cfg = write_config(
+        tmp_path,
+        PANALYTIC_CFG.replace("elements.h = a", f"elements.h = a^{exponent}"),
+    )
+    out = tmp_path / "x.csv"
+    assert main(["panalytic", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: syllable exponents too large for the integer window")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_budget_overflow_writes_header_only_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CayleySpace", lambda pres: CayleySpace(pres, ball_cap=5))
+    cfg = write_config(
+        tmp_path,
+        "presentation.orders = inf, inf\nexperiment = orbits\nsubgroup = a\nbudgets.R = 2\n",
+    )
+    out = tmp_path / "orbits.csv"
+    assert main(["orbits", "--config", cfg, "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert out.read_text() == CSV_HEADER + "\n"
+    captured = capsys.readouterr()
+    assert captured.err.startswith("budget overflow: ")
+    assert f"partial csv: {out}" in captured.out
+    assert not out.with_suffix(".txt").exists()

@@ -408,7 +408,7 @@ def test_pingpong_torsion_free_product_passes():
 
 def test_pingpong_finite_order_g_fails_displacement():
     rep = pingpong_certificate(T23, S, 5, 6, 5)
-    assert rep.verdict == "FAIL"
+    assert rep.verdict == FALSIFIED
     assert not rep.displacement_ok
     assert max(r.displacement for r in rep.displacement_rows) <= 1
 
@@ -417,7 +417,7 @@ def test_pingpong_relation_caught_by_injectivity():
     # st * t^-1 = s, so (g h^-1)^2 evaluates to the identity: <t, st> is the
     # whole group, not a free product, and the length-4 relation is in budget
     rep = pingpong_certificate(T23, S * T23, 5, 6, 5)
-    assert rep.verdict == "FAIL"
+    assert rep.verdict == FALSIFIED
     assert not rep.injectivity_ok
     rendered = {str(w) for w in rep.trivial_words}
     assert "h g^-1 h g^-1" in rendered
@@ -428,7 +428,7 @@ def test_pingpong_relation_caught_by_disjointness():
     # has length 6, out of reach of the L=5 injectivity census, but the
     # translate probe composes longer words and still finds it
     rep = pingpong_certificate(T23, (S * T23) ** 2, 5, 6, 5)
-    assert rep.verdict == "FAIL"
+    assert rep.verdict == FALSIFIED
     assert rep.injectivity_ok
     assert not rep.disjointness.disjoint
     c = rep.disjointness.collisions[0]
@@ -452,5 +452,5 @@ def test_loxodromic_probe_z2z3_products():
 
 def test_loxodromic_probe_cancellation_fails():
     rep = loxodromic_probe(A, A.inverse(), 1, 1)
-    assert rep.verdict == "FAIL"
+    assert rep.verdict == FALSIFIED
     assert rep.rate == 0.0
