@@ -16,12 +16,9 @@ from .groups import (
     first_syllable_in,
     free_group,
     free_product,
-    invert,
-    multiply,
     reduce,
 )
 from .spaces import (
-    ActionSpace,
     BudgetExceededError,
     CayleySpace,
     FaithfulnessReport,
@@ -34,7 +31,6 @@ from .operators import (
     NormBudget,
     NormEstimate,
     StateVector,
-    adjoint,
     indicator_project,
     norm_lower_bound,
     op_apply,
@@ -67,10 +63,7 @@ __all__ = [
     "first_syllable_in",
     "free_group",
     "free_product",
-    "invert",
-    "multiply",
     "reduce",
-    "ActionSpace",
     "BudgetExceededError",
     "CayleySpace",
     "FaithfulnessReport",
@@ -81,7 +74,6 @@ __all__ = [
     "NormBudget",
     "NormEstimate",
     "StateVector",
-    "adjoint",
     "indicator_project",
     "norm_lower_bound",
     "op_apply",

@@ -32,6 +32,7 @@ from .operators import (
 )
 from .spaces import FALSIFIED, PASS, BudgetExceededError, CayleySpace, orbit_decompose
 from .dynamics import (
+    DEFAULT_SLACK,
     EnvelopeReport,
     EnvelopeRow,
     averaging_decay_report,
@@ -132,10 +133,10 @@ class Budgets:
     J_list: tuple[int, ...] | None = None
     L: int = 6
     R: int = 6
-    max_iterations: int = 150
-    support_cap: int = 30_000
-    prune_threshold: float = 1e-8
-    residual_target: float = 1e-6
+    max_iterations: int = NormBudget.max_iterations
+    support_cap: int = NormBudget.support_cap
+    prune_threshold: float = NormBudget.prune_threshold
+    residual_target: float = NormBudget.residual_target
     c_min: float = 0.5
     C: float = 2.0
     N: int = 4
@@ -559,15 +560,16 @@ def write_svg(path: Path, rows: list[ResultRow]) -> None:
 
 
 def run(
-    raw_config: dict[str, str],
+    config_path: str,
     experiment: str,
     out_path: str | None = None,
     emit_svg: bool = False,
     seed: int | None = None,
-    slack: float = 1e-9,
+    slack: float = DEFAULT_SLACK,
 ) -> int:
-    """Execute one experiment from a parsed config; returns the exit code."""
-    config = build_config(raw_config)
+    """Execute one experiment from a config file; returns the exit code."""
+    raw_config = load_config_lines(config_path)
+    config = build_config(raw_config, config_path)
     if config.experiment and config.experiment != experiment:
         raise ConfigError(
             f"config names experiment {config.experiment!r} but {experiment!r} was invoked"
@@ -621,6 +623,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors, which collides with INCONCLUSIVE
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -636,13 +639,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--svg", action="store_true", help="also write a small SVG chart")
         p.add_argument("--seed", type=int, default=None, help="randomized-restart seed")
-        p.add_argument("--slack", type=float, default=1e-9, help="falsification slack")
+        p.add_argument("--slack", type=float, default=DEFAULT_SLACK, help="falsification slack")
     args = parser.parse_args(argv)
 
     try:
-        raw = load_config_lines(args.config)
         code = run(
-            raw,
+            args.config,
             args.experiment,
             out_path=args.out,
             emit_svg=args.svg,

@@ -34,17 +34,16 @@ from .operators import (
     NormEstimate,
     norm_lower_bound,
 )
-from .spaces import FALSIFIED, INCONCLUSIVE, PASS, ActionSpace, CayleySpace, Point
+from .spaces import FALSIFIED, INCONCLUSIVE, PASS, CayleySpace, Point
 
 DEFAULT_SLACK = 1e-9
+
+#: Ceiling on the abstract pair words the free-product probes enumerate.
+_WORD_CAP = 2_000_000
 
 
 class DomainError(ValueError):
     """An argument lies outside the operation's mathematical domain."""
-
-
-def _self_action(space: ActionSpace | None, presentation: FreeProductPresentation) -> ActionSpace:
-    return space if space is not None else CayleySpace(presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def envelope_sweep(
     operator_for_J: Callable[[int], FormalOperator],
     envelope_for_J: Callable[[int], float],
     budget: NormBudget | None,
-    space: ActionSpace,
+    space: CayleySpace,
     slack: float = DEFAULT_SLACK,
     *,
     identity_falsifies: bool = False,
@@ -268,7 +267,6 @@ def verify_panalytic(
     J_max: int,
     C: float = 2.0,
     budget: NormBudget | None = None,
-    space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
 ) -> EnvelopeReport:
     """Probe the square-summable bound on uniform conjugation averages.
@@ -290,7 +288,7 @@ def verify_panalytic(
         lambda J: build_Ta(h, g, CoefficientSequence.uniform(J)),
         lambda J: C / math.sqrt(J),
         budget,
-        _self_action(space, h.presentation),
+        CayleySpace(h.presentation),
         slack,
     )
 
@@ -301,7 +299,6 @@ def _averaging_sweep(
     J_values: Iterable[int],
     C: float,
     budget: NormBudget | None,
-    space: ActionSpace | None,
     slack: float,
     **rules: bool,
 ) -> EnvelopeReport:
@@ -316,7 +313,7 @@ def _averaging_sweep(
         lambda J: average_MJ(T, g, J) - unit_e,
         lambda J: (C / math.sqrt(J)) * sum_f,
         budget,
-        _self_action(space, pres),
+        CayleySpace(pres),
         slack,
         **rules,
     )
@@ -331,7 +328,6 @@ def averaging_decay_report(
     J_list: list[int],
     C: float = 2.0,
     budget: NormBudget | None = None,
-    space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
 ) -> EnvelopeReport:
     """Check that averaging kills the off-identity part at rate C/sqrt(J).
@@ -341,7 +337,7 @@ def averaging_decay_report(
     against (C/sqrt(J)) times the l1 mass of T off the identity.  A residual
     that keeps an identity coefficient falsifies its row.
     """
-    return _averaging_sweep(T, g, J_list, C, budget, space, slack, identity_falsifies=True)
+    return _averaging_sweep(T, g, J_list, C, budget, slack, identity_falsifies=True)
 
 
 def ideal_experiment(
@@ -351,7 +347,6 @@ def ideal_experiment(
     J_max: int,
     C: float = 2.0,
     budget: NormBudget | None = None,
-    space: ActionSpace | None = None,
     slack: float = DEFAULT_SLACK,
 ) -> EnvelopeReport:
     """Translate T by the pivot, average, and find where the bound closes.
@@ -377,7 +372,7 @@ def ideal_experiment(
     T0 = T.translate_left(k.inverse())
     assert T0.identity_coefficient == a_k  # relocation moves, never recomputes
     rep = _averaging_sweep(
-        T0, g, range(1, J_max + 1), C, budget, space, slack, require_convergence=False
+        T0, g, range(1, J_max + 1), C, budget, slack, require_convergence=False
     )
     rep.threshold = abs(a_k) / 2.0
     rep.success_J = next((r.J for r in rep.rows if r.bound < rep.threshold), None)
@@ -414,7 +409,7 @@ class WjCollision:
     v: GroupElement
     point: Point
     witness_abstract: GroupElement  # v^-1 g^(j-k) u, nontrivial in <h>*<g>
-    witness_evaluated: GroupElement  # its image, a stabilizer element of x_i
+    witness_evaluated: GroupElement  # its image, which fixes the base point x_i
 
 
 @dataclass
@@ -429,40 +424,35 @@ class WjDisjointReport:
     disjoint: bool
 
 
-def check_Wj_disjoint(
-    h: GroupElement,
-    g: GroupElement,
-    J: int,
-    L: int,
-    x_i: Point | None = None,
-    space: ActionSpace | None = None,
-    word_cap: int = 2_000_000,
-) -> WjDisjointReport:
+def check_Wj_disjoint(h: GroupElement, g: GroupElement, J: int, L: int) -> WjDisjointReport:
     """Exhaustive disjointness check of the translate family W_j . x_i.
 
     W_0 is enumerated in the abstract free product <h> * <g> (words of
     length at most L not beginning with a g-power, the identity included),
-    translated by g^j for |j| <= J, evaluated into the acting group, and
-    pushed to the point x_i.  A collision between distinct j exhibits a
-    nontrivial abstract word v^-1 g^(j-k) u whose image stabilizes x_i.
+    evaluated into the acting group and pushed to the base point x_i once,
+    then translated by g^j for |j| <= J.  A collision between distinct j
+    exhibits a nontrivial abstract word v^-1 g^(j-k) u whose image fixes
+    x_i.  The action is free, so the collisions would be the same at any
+    other point.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
-    space = _self_action(space, h.presentation)
-    if x_i is None:
-        x_i = space.base_point
+    space = CayleySpace(h.presentation)
+    x_i = space.base_point
     abstract = _abstract_pair(h, g)
-    aspace = CayleySpace(abstract, ball_cap=word_cap)
+    aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
     words = aspace.enumerate_ball(abstract.identity(), L)
     w0 = [w for w in words if not first_syllable_in(w, 1)]
     gbar = abstract.generator(1)
     images = (h, g)
+    # the action is a homomorphism: g^j u . x_i = g^j . (u . x_i)
+    pushed = [space.apply(_evaluate(u, images), x_i) for u in w0]
     seen: dict[Point, tuple[int, GroupElement]] = {}
     collisions: list[WjCollision] = []
     for j in range(-J, J + 1):
-        gj = gbar ** j
-        for u in w0:
-            point = space.apply(_evaluate(gj * u, images), x_i)
+        gj = g ** j
+        for u, ux in zip(w0, pushed):
+            point = space.apply(gj, ux)
             prev = seen.get(point)
             if prev is None:
                 seen[point] = (j, u)
@@ -500,7 +490,7 @@ class DisplacementRow:
 
 
 def _displacement(
-    space: ActionSpace, w: GroupElement, n_max: int, c_min: float
+    space: CayleySpace, w: GroupElement, n_max: int, c_min: float
 ) -> tuple[list[DisplacementRow], bool]:
     """d(x0, w^n x0) for n up to n_max, and whether each is at least c_min * n."""
     rows: list[DisplacementRow] = []
@@ -539,15 +529,13 @@ def pingpong_certificate(
     J: int,
     R: int,
     c_min: float = 0.5,
-    space: ActionSpace | None = None,
-    word_cap: int = 2_000_000,
 ) -> PingPongReport:
     """Run the three free-product consistency probes for (h, g)."""
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    space = _self_action(space, h.presentation)
+    space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
-    aspace = CayleySpace(abstract, ball_cap=word_cap)
+    aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
     ball = space.enumerate_ball(space.base_point, R)
     images = (h, g)
 
@@ -563,7 +551,7 @@ def pingpong_certificate(
         any(fi == 1 for fi, _ in wbar.syllables) for wbar in trivial
     )
 
-    disjointness = check_Wj_disjoint(h, g, J, L, space.base_point, space, word_cap)
+    disjointness = check_Wj_disjoint(h, g, J, L)
 
     displacement_rows, displacement_ok = _displacement(space, g, J, c_min)
     verdict = (
@@ -595,7 +583,6 @@ def loxodromic_probe(
     k: int,
     n_max: int = 10,
     c_min: float = 0.5,
-    space: ActionSpace | None = None,
 ) -> LoxodromicReport:
     """Linear displacement growth of the product g1^l g2^k from the base point.
 
@@ -607,8 +594,7 @@ def loxodromic_probe(
         raise ValueError("l and k must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    space = _self_action(space, g1.presentation)
     w = (g1 ** l) * (g2 ** k)
-    rows, ok = _displacement(space, w, n_max, c_min)
+    rows, ok = _displacement(CayleySpace(g1.presentation), w, n_max, c_min)
     rate = rows[-1].displacement / n_max
     return LoxodromicReport(word=w, rows=rows, rate=rate, verdict=PASS if ok else FALSIFIED)

@@ -232,16 +232,6 @@ def reduce(presentation: FreeProductPresentation, raw_word: Iterable[Syllable]) 
     return GroupElement(presentation, tuple(stack))
 
 
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Reduced product of two elements over the same presentation."""
-    return x * y
-
-
-def invert(x: GroupElement) -> GroupElement:
-    """Group inverse; an involution."""
-    return x.inverse()
-
-
 def conjugate_sequence(g: GroupElement, h: GroupElement, J: int) -> list[GroupElement]:
     """The conjugates ``g^-j h g^j`` for ``j = 1..J``, each in normal form.
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import FreeProductPresentation, GroupElement, PresentationMismatchError
-from .spaces import ActionSpace, Point
+from .spaces import CayleySpace, CayleyWindow, Point
 
 
 def _fsum_complex(parts: list[complex]) -> complex:
@@ -30,12 +30,12 @@ class StateVector:
 
     __slots__ = ("space", "coefficients")
 
-    def __init__(self, space: ActionSpace, coefficients: dict[Point, complex]):
+    def __init__(self, space: CayleySpace, coefficients: dict[Point, complex]):
         self.space = space
         self.coefficients = {x: complex(c) for x, c in coefficients.items() if c != 0}
 
     @classmethod
-    def dirac(cls, space: ActionSpace, x: Point) -> "StateVector":
+    def dirac(cls, space: CayleySpace, x: Point) -> "StateVector":
         return cls(space, {x: 1.0})
 
     def norm(self) -> float:
@@ -171,6 +171,7 @@ class FormalOperator:
         )
 
     def adjoint(self) -> "FormalOperator":
+        """pi(g)* = pi(g^-1), since pi(g) is unitary."""
         return FormalOperator(
             self.presentation,
             {g.inverse(): c.conjugate() for g, c in self.coefficients.items()},
@@ -208,11 +209,6 @@ def op_apply(T: FormalOperator, v: StateVector) -> StateVector:
     return StateVector(space, acc)
 
 
-def adjoint(T: FormalOperator) -> FormalOperator:
-    """Adjoint of a formal operator; pi(g)* = pi(g^-1) since pi(g) is unitary."""
-    return T.adjoint()
-
-
 def indicator_project(v: StateVector, member: Callable[[Point], bool]) -> StateVector:
     """Coordinate projection onto the points satisfying the predicate."""
     return StateVector(v.space, {x: c for x, c in v.coefficients.items() if member(x)})
@@ -231,15 +227,13 @@ def triangle_upper_bound(T: FormalOperator) -> float:
 class NormBudget:
     """Resource limits for :func:`norm_lower_bound`.
 
-    ``seed_point`` defaults to the space base point.  ``start_vector`` lets a
-    caller opt into a randomized restart; its support must meet the explored
-    set.
+    ``start_vector`` lets a caller opt into a randomized restart; its support
+    must meet the explored set.
     """
 
     max_iterations: int = 150
     support_cap: int = 30_000
     prune_threshold: float = 1e-8
-    seed_point: Point | None = None
     residual_target: float = 1e-6
     start_vector: "StateVector | None" = None
 
@@ -275,15 +269,14 @@ def _zero_estimate() -> NormEstimate:
     return NormEstimate(0.0, 0, 0.0, 0, 0, True, None)
 
 
-def _window(T: FormalOperator, space: ActionSpace, budget: NormBudget):
-    """The estimator's window: the seed closed under the symbols of T, then
-    their inverses, up to depth ``2 * max_iterations + 1`` and
+def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
+    """The estimator's window: the identity closed under the symbols of T,
+    then their inverses, up to depth ``2 * max_iterations + 1`` and
     ``support_cap`` points.  Returns those symbols, the window and its
     targets.
     """
-    seed = budget.seed_point if budget.seed_point is not None else space.base_point
     union = list(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
-    window = space.window(seed, union)
+    window = CayleyWindow(space.presentation, union)
     return union, window, window.close(2 * budget.max_iterations + 1, budget.support_cap)
 
 
@@ -306,18 +299,19 @@ def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarra
 
 
 def norm_lower_bound(
-    T: FormalOperator, space: ActionSpace, budget: NormBudget | None = None
+    T: FormalOperator, space: CayleySpace, budget: NormBudget | None = None
 ) -> NormEstimate:
     """Certified lower bound on ||sum a_g pi(g)|| via compressed power iteration.
 
-    The orbit of the seed point under the symbols of T and T* is enumerated
-    breadth-first up to the support cap, and v <- T* T v is iterated on that
-    finite window from the Dirac vector at the seed, pruning entries below
+    The orbit of the base point (the identity) under the symbols of T and T*
+    is enumerated breadth-first up to the support cap, and v <- T* T v is
+    iterated on that finite window from the Dirac vector at the base point,
+    or from ``budget.start_vector``, pruning entries below
     the threshold.  The reported bound applies T to the final vector with no
     truncation, so it is attained and sound regardless of how aggressively
     the iteration itself was capped or pruned.
 
-    The window is the space's integer-indexed :class:`CayleyWindow`: points
+    The window is an integer-indexed :class:`CayleyWindow`: points
     are rows of syllable codes with consecutive ids, identity is decided
     exactly (a fingerprint match counts only when the rows are equal), and
     whole blocks of points are multiplied by the symbols at once.  It grows

@@ -1,17 +1,17 @@
-"""Countable metric spaces with isometric group actions.
+"""The Cayley graph of a free product, acted on by left multiplication.
 
-The concrete space is the Cayley graph of a free product acting on itself by
-left multiplication, with the word metric of the standard generating set.
-Balls are enumerated lazily and deterministically; orbit decompositions and
-faithfulness checks are budget-relative: they certify what a finite window
-shows and never claim more.  The norm estimator's windows are
+The group acts on itself, freely and isometrically for the word metric of
+the standard generating set.  Balls are enumerated lazily and
+deterministically; orbit decompositions and faithfulness checks are
+budget-relative: they certify what a finite window shows and never claim
+more.  The norm estimator's windows are
 integer-indexed stores of reduced words (:class:`CayleyWindow`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .groups import (
     PresentationMismatchError,
 )
 
-#: Points of a Cayley space are reduced words; other spaces may use any
-#: hashable value whose equality matches the intended point identity.
+#: Points of the Cayley space are reduced words.
 Point = GroupElement
 
 #: Default ceiling on enumerated ball size, keeping worst-case memory near 1 GB.
@@ -37,21 +36,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 class BudgetExceededError(RuntimeError):
     """An enumeration outgrew its configured cardinality cap."""
-
-
-class ActionSpace(Protocol):
-    """Structural contract for a countable metric space with a group action."""
-
-    presentation: FreeProductPresentation
-    base_point: Point
-
-    def apply(self, g: GroupElement, x: Point) -> Point: ...
-
-    def distance(self, x: Point, y: Point) -> int: ...
-
-    def enumerate_ball(self, center: Point, radius: int) -> list[Point]: ...
-
-    def window(self, seed: Point, symbols: Sequence[GroupElement]) -> "CayleyWindow": ...
 
 
 class CayleySpace:
@@ -86,10 +70,6 @@ class CayleySpace:
 
     def distance(self, x: Point, y: Point) -> int:
         return (x.inverse() * y).word_length()
-
-    def window(self, seed: Point, symbols: Sequence[GroupElement]) -> "CayleyWindow":
-        """An integer-indexed window holding ``seed``, acted on by ``symbols``."""
-        return CayleyWindow(self.presentation, seed, symbols)
 
     def enumerate_ball(self, center: Point, radius: int) -> list[Point]:
         """All points at distance <= radius, in breadth-first discovery order."""
@@ -150,11 +130,6 @@ def _fingerprint(rows: np.ndarray) -> np.ndarray:
     return _mix(x.sum(axis=-1, dtype=np.uint64))
 
 
-def _max_exponent(rows: np.ndarray, rank: int) -> int:
-    """Largest |exponent| among rows of syllable codes."""
-    return int(np.abs(rows // rank).max(initial=0))
-
-
 def _rows_equal(a: np.ndarray, alen: np.ndarray, b: np.ndarray, blen: np.ndarray) -> np.ndarray:
     """Row-wise word equality; each row keeps a zero column past its word."""
     w = min(a.shape[-1], b.shape[-1])
@@ -204,21 +179,17 @@ class CayleyWindow:
     a stored point, which counts only when its row equals the query's; a
     fingerprint shared by several stored points makes the query be compared
     with each of them.  ``symbols`` are the group elements the window is
-    acted on by, addressed by their position.
+    acted on by, addressed by their position.  The window starts as the
+    identity alone, with id 0.
     """
 
-    def __init__(
-        self,
-        presentation: FreeProductPresentation,
-        seed: Point,
-        symbols: Sequence[GroupElement],
-    ):
+    def __init__(self, presentation: FreeProductPresentation, symbols: Sequence[GroupElement]):
         self.presentation = presentation
         self._rank = presentation.rank
         self._orders = np.asarray(presentation.factor_orders, dtype=np.int64)
         self._sym, self._sym_len = self._pack([self._encode(g) for g in symbols])
         self._sym_inv, _ = self._pack([self._encode(g.inverse()) for g in symbols])
-        self._rows, self._len = self._pack([self._encode(seed)])
+        self._rows, self._len = self._pack([[]])  # the identity, an empty word
         self._depth = np.zeros(1, dtype=np.int64)
         self.size = 1
         self._index_fp = _fingerprint(self._rows)
@@ -383,12 +354,12 @@ class CayleyWindow:
 
         Each multiplication grows a syllable exponent by at most the largest
         symbol exponent, and every level holds a point, so images are at
-        most ``min(max_depth, cap) + 1`` multiplications from the seed; codes
-        that could leave int64 on the way raise OverflowError up front.
+        most ``min(max_depth, cap) + 1`` multiplications from the identity;
+        codes that could leave int64 on the way raise OverflowError up front.
         """
         R = self._rank
         steps = min(max_depth, cap) + 1
-        reach = _max_exponent(self._rows, R) + steps * _max_exponent(self._sym, R)
+        reach = steps * int(np.abs(self._sym // R).max(initial=0))
         if (reach + 1) * R > _INT64_MAX:
             raise OverflowError(_OVERFLOW)
         U = len(self._sym)
@@ -456,7 +427,7 @@ class OrbitDecomposition:
 
 
 def orbit_decompose(
-    space: ActionSpace,
+    space: CayleySpace,
     subgroup_generators: Sequence[GroupElement],
     ball: Sequence[Point],
 ) -> OrbitDecomposition:
@@ -512,10 +483,7 @@ class FaithfulnessReport:
 
 
 def faithfulness_check(
-    space: ActionSpace,
-    word_length_budget: int,
-    radius: int,
-    word_cap: int = DEFAULT_BALL_CAP,
+    space: CayleySpace, word_length_budget: int, radius: int
 ) -> FaithfulnessReport:
     """Search moved-point witnesses for every short nontrivial word.
 
@@ -524,8 +492,7 @@ def faithfulness_check(
     word moves.  PASS means every word has a witness within the budget; a
     failure exhibits a word acting trivially on the whole tested window.
     """
-    census_space = CayleySpace(space.presentation, ball_cap=word_cap)
-    words = census_space.enumerate_ball(space.presentation.identity(), word_length_budget)
+    words = CayleySpace(space.presentation).enumerate_ball(space.presentation.identity(), word_length_budget)
     ball = space.enumerate_ball(space.base_point, radius)
     witnesses: dict[GroupElement, Point] = {}
     failures: list[GroupElement] = []

@@ -88,13 +88,13 @@ def dense_compression_norm(
 def reference_window(T, space, budget):
     """The estimator's window as a dict-based breadth-first loop on group elements.
 
-    The seed (``budget.seed_point`` or the base point) is closed under the
-    symbols of T followed by their inverses, point by point and symbol by
-    symbol, up to depth ``2 * max_iterations + 1`` and ``support_cap`` points.
+    The base point is closed under the symbols of T followed by their
+    inverses, point by point and symbol by symbol, up to depth
+    ``2 * max_iterations + 1`` and ``support_cap`` points.
     Returns the points in discovery order, their depths, and for every symbol
     the id of its image of each point (-1 outside the window).
     """
-    seed = budget.seed_point if budget.seed_point is not None else space.base_point
+    seed = space.base_point
     symbols = list(T.coefficients.items())
     union: dict[GroupElement, None] = {}
     for g, _ in symbols:
@@ -123,3 +123,34 @@ def reference_window(T, space, budget):
             raw_targets[g].append(j)
         i += 1
     return order, depth, raw_targets
+
+
+def reference_Wj_collisions(h, g, J, L):
+    """The translate-family collisions of ``check_Wj_disjoint``, by the
+    direct loop: every translated word g^j u is evaluated into the acting
+    group on its own and pushed to the base point.
+
+    Returns (j, u, k, v, point, witness_abstract, witness_evaluated) tuples
+    in discovery order.
+    """
+    from actrep.dynamics import _abstract_pair, _evaluate
+    from actrep.groups import first_syllable_in
+    from actrep.spaces import CayleySpace
+
+    space = CayleySpace(h.presentation)
+    abstract = _abstract_pair(h, g)
+    words = CayleySpace(abstract).enumerate_ball(abstract.identity(), L)
+    w0 = [w for w in words if not first_syllable_in(w, 1)]
+    gbar = abstract.generator(1)
+    seen: dict = {}
+    out = []
+    for j in range(-J, J + 1):
+        gj = gbar ** j
+        for u in w0:
+            point = space.apply(_evaluate(gj * u, (h, g)), space.base_point)
+            prev = seen.setdefault(point, (j, u))
+            if prev[0] != j:
+                k, v = prev
+                witness = v.inverse() * (gbar ** (j - k)) * u
+                out.append((j, u, k, v, point, witness, _evaluate(witness, (h, g))))
+    return out

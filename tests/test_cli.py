@@ -472,6 +472,31 @@ def test_non_finite_floats_exit_3(tmp_path, capsys, text, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--slack", "abc"], "error: argument --slack: invalid float value: 'abc'"),
+        # argparse reads -inf as an option, so --slack is left without a value
+        (["--slack", "-inf"], "error: argument --slack: expected one argument"),
+    ],
+    ids=["slack-abc", "slack-minus-inf"],
+)
+def test_usage_errors_print_argparse_message(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, TORSION_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["panalytic", "--config", cfg, *extra])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1] == message
+
+
+def test_config_errors_name_the_config_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, TORSION_CFG + "budgets.C = nan\n")
+    assert main(["panalytic", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: bad value for budgets.C: 'nan'\n"
+
+
 @pytest.mark.parametrize("exponent", [1 << 62, 1 << 60])
 def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
     # 2^62 leaves int64 as soon as the word is encoded, 2^60 once the window

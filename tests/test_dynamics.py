@@ -30,7 +30,7 @@ from actrep.dynamics import (
 )
 from actrep.spaces import CayleySpace
 
-from oracles import dense_compression_norm
+from oracles import dense_compression_norm, reference_Wj_collisions
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -392,6 +392,22 @@ def test_wj_degenerate_pair_collides():
         # the witness stabilizes the base point: in a free action it must be e
         assert space.apply(c.witness_evaluated, rep.x_i) == rep.x_i
         assert c.witness_evaluated == E
+
+
+def test_wj_collisions_match_direct_evaluation():
+    # each W_0 word is evaluated once and then translated; the direct loop
+    # evaluates every translated word on its own
+    pairs = [(A, B), (A * B, B), (A, A), (H, G), (T23, S * T23), (T23, (S * T23) ** 2)]
+    total = 0
+    for h, g in pairs:
+        rep = check_Wj_disjoint(h, g, 5, 6)
+        got = [
+            (c.j, c.u, c.k, c.v, c.point, c.witness_abstract, c.witness_evaluated)
+            for c in rep.collisions
+        ]
+        assert got == reference_Wj_collisions(h, g, 5, 6)
+        total += len(got)
+    assert total > 0
 
 
 def test_pingpong_free_pair_passes():
