@@ -587,6 +587,9 @@ def run(
         print(f"budget overflow: {exc}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
+    except ValueError as exc:
+        # a bad word or a budget out of range in the config
+        raise ConfigError(f"{config_path}: {exc}") from None
 
     rows = [ResultRow(experiment, ph, *values) for values in result.rows]
     summary = result.summary + [f"verdict: {result.verdict}"]

@@ -244,9 +244,11 @@ class NormEstimate:
 
     ``lower_bound`` is ||T w|| / ||w|| for the explicitly stored ``witness``
     w, recomputed through exact application, so it never exceeds the true
-    norm.  ``converged`` records whether successive Rayleigh values
-    stabilized below the residual target before the iteration budget ran
-    out; hitting the support cap without stabilizing leaves it False.
+    norm.  ``converged`` records only that successive Rayleigh values
+    stagnated, changing by less than the residual target, before the
+    iteration budget ran out; it does not say that ``lower_bound`` is close
+    to the norm, since the iteration runs on a truncated window.  Hitting
+    the support cap without stagnating leaves it False.
     """
 
     lower_bound: float
@@ -274,10 +276,35 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
     then their inverses, up to depth ``2 * max_iterations + 1`` and
     ``support_cap`` points.  Returns those symbols, the window and its
     targets.
+
+    The space keeps the last window it closed and hands it back while the
+    symbols, in order, and both limits stay the same.
     """
-    union = list(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
-    window = CayleyWindow(space.presentation, union)
-    return union, window, window.close(2 * budget.max_iterations + 1, budget.support_cap)
+    union = tuple(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
+    max_depth = 2 * budget.max_iterations + 1
+    key = (union, max_depth, budget.support_cap)
+    if space._last_window is None or space._last_window[0] != key:
+        space._last_window = None  # free the old window before the new one grows
+        window = CayleyWindow(space.presentation, union)
+        space._last_window = (key, window, window.close(max_depth, budget.support_cap))
+    _, window, targets = space._last_window
+    return list(union), window, targets
+
+
+def _matvec(targets: np.ndarray, terms: list[tuple[complex, int]], v: np.ndarray) -> np.ndarray:
+    """sum a pi(g) v on the window, for the (a, column of g) pairs ``terms``.
+
+    Only the support of v is moved, term by term in order, and images outside
+    the window are dropped.
+    """
+    nz = np.flatnonzero(v)
+    images, values = targets[nz], v[nz]
+    w = np.zeros(len(v), dtype=np.complex128)
+    for a, u in terms:
+        dst = images[:, u]
+        inside = dst >= 0
+        w[dst[inside]] += a * values[inside]  # left translation is injective per symbol
+    return w
 
 
 def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarray) -> float:
@@ -325,33 +352,35 @@ def norm_lower_bound(
     use :func:`op_apply` as its oracle.  Norms in the iteration are summed
     by numpy rather than BLAS, so the result does not depend on the BLAS
     thread count.
+
+    ``space`` keeps the last closed window: a later call on the same space
+    with the same symbols in the same order (the union of T's symbols and
+    their inverses), the same ``max_iterations`` and the same
+    ``support_cap`` reuses it instead of closing it again, as the rows of a
+    torsion sweep do, whose conjugates cycle.  Any other call frees the old
+    window before closing its own.  The window lives as long as the space,
+    which each engine builds once per sweep.  Each matvec moves only the
+    iterate's support, term by term in T's order, so nonzero entries are
+    the same as when the whole window is moved.
+
+    ``converged`` means only that the Rayleigh values stagnated below
+    ``budget.residual_target``, not that the estimate is close to the norm.
     """
     budget = budget or NormBudget()
     if budget.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if budget.support_cap < 1:
+        raise ValueError("support_cap must be >= 1")
     if not T.coefficients:
         return _zero_estimate()
 
     symbols = list(T.coefficients.items())
     union_elems, window, targets = _window(T, space, budget)
     slot = {g: u for u, g in enumerate(union_elems)}
-    n = len(targets)
+    fwd = [(a, slot[g]) for g, a in symbols]
+    bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in symbols]
 
-    maps: dict[GroupElement, tuple[np.ndarray, np.ndarray]] = {}
-    for g, u in slot.items():
-        src = np.nonzero(targets[:, u] >= 0)[0]
-        maps[g] = (src, targets[src, u])
-
-    fwd = [(a, *maps[g]) for g, a in symbols]
-    bwd = [(a.conjugate(), *maps[g.inverse()]) for g, a in symbols]
-
-    def matvec(terms, v):
-        w = np.zeros(n, dtype=np.complex128)
-        for a, src, dst in terms:
-            w[dst] += a * v[src]  # left translation is injective per symbol
-        return w
-
-    v = np.zeros(n, dtype=np.complex128)
+    v = np.zeros(len(targets), dtype=np.complex128)
     if budget.start_vector is not None:
         start = list(budget.start_vector.coefficients.items())
         for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
@@ -369,14 +398,14 @@ def norm_lower_bound(
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
-        w = matvec(fwd, v)
+        w = _matvec(targets, fwd, v)
         prev, ray = ray, float(_norm(w) / _norm(v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
-        u = matvec(bwd, w)
+        u = _matvec(targets, bwd, w)
         nu = _norm(u)
         if nu == 0.0:
             break

@@ -43,7 +43,8 @@ class CayleySpace:
 
     The metric is the word metric of the generating set made of all factor
     generators; left multiplication is an isometry for it.  The base point is
-    the identity.
+    the identity.  The space also keeps the norm estimator's last closed
+    window, so the rows of one sweep that share their symbols close it once.
     """
 
     def __init__(self, presentation: FreeProductPresentation, ball_cap: int = DEFAULT_BALL_CAP):
@@ -51,6 +52,7 @@ class CayleySpace:
         self.base_point: Point = presentation.identity()
         self.ball_cap = ball_cap
         self._moves = self._one_step_moves()
+        self._last_window = None  # (key, CayleyWindow, targets), see operators._window
 
     def _one_step_moves(self) -> list[GroupElement]:
         # generator order, positive exponent before negative; for an order-2

@@ -154,3 +154,21 @@ def reference_Wj_collisions(h, g, J, L):
                 witness = v.inverse() * (gbar ** (j - k)) * u
                 out.append((j, u, k, v, point, witness, _evaluate(witness, (h, g))))
     return out
+
+
+def scatter_matvec(targets, terms, v):
+    """The estimator's matvec as a scatter-add over the whole window.
+
+    ``terms`` are (coefficient, symbol column) pairs; every window point is
+    moved by every term, in order, and images outside the window dropped.
+    """
+    n = len(targets)
+    maps = {}
+    for u in range(targets.shape[1]):
+        src = np.nonzero(targets[:, u] >= 0)[0]
+        maps[u] = (src, targets[src, u])
+    w = np.zeros(n, dtype=np.complex128)
+    for a, u in terms:
+        src, dst = maps[u]
+        w[dst] += a * v[src]  # left translation is injective per symbol
+    return w

@@ -497,6 +497,28 @@ def test_config_errors_name_the_config_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}: bad value for budgets.C: 'nan'\n"
 
 
+@pytest.mark.parametrize(
+    "experiment, line, message",
+    [
+        ("panalytic", "budgets.support_cap = 0", "support_cap must be >= 1"),
+        ("panalytic", "budgets.support_cap = -3", "support_cap must be >= 1"),
+        ("panalytic", "budgets.max_iterations = 0", "max_iterations must be >= 1"),
+        ("panalytic", "budgets.J_max = 0", "J_max must be >= 1"),
+        ("average", "budgets.J_list = 0, 2", "J must be >= 1"),
+    ],
+)
+def test_out_of_range_budgets_exit_3_naming_the_config_file(
+    tmp_path, capsys, experiment, line, message
+):
+    # the estimator and the engines check these ranges, below the config loader
+    base = TORSION_CFG if experiment == "panalytic" else STARVED_AVERAGE_CFG
+    cfg = write_config(tmp_path, base + line + "\n")
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exponent", [1 << 62, 1 << 60])
 def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
     # 2^62 leaves int64 as soon as the word is encoded, 2^60 once the window

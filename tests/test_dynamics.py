@@ -1,15 +1,18 @@
 import math
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 
+from actrep import cli, spaces
 from actrep.groups import (
     INFINITE,
     DegenerateInputError,
     free_group,
     free_product,
 )
-from actrep.operators import FormalOperator, NormBudget, op_apply
+from actrep.operators import FormalOperator, NormBudget, StateVector, norm_lower_bound, op_apply
 from actrep.dynamics import (
     FALSIFIED,
     INCONCLUSIVE,
@@ -273,6 +276,97 @@ def test_panalytic_inconclusive_when_starved():
         A, B, 4, budget=NormBudget(max_iterations=2, support_cap=400)
     )
     assert rep.verdict == INCONCLUSIVE
+
+
+# -- window reuse within a sweep -------------------------------------------
+
+
+def _record_closes(monkeypatch):
+    """Patch CayleyWindow.close to list every window it closes."""
+    closed = []
+    close = spaces.CayleyWindow.close
+
+    def recording(window, *args):
+        closed.append(window)
+        return close(window, *args)
+
+    monkeypatch.setattr(spaces.CayleyWindow, "close", recording)
+    return closed
+
+
+def test_torsion_sweep_rows_equal_fresh_estimates(monkeypatch):
+    # the conjugates of t by s cycle, so every row from J = 2 on has the
+    # symbols of row 2 and reuses its window
+    budget = NormBudget(max_iterations=20, support_cap=300)
+    closed = _record_closes(monkeypatch)
+    rep = verify_panalytic(T23, S, 8, budget=budget)
+    assert len(closed) == 2
+    for row in rep.rows:
+        got = row.estimate
+        fresh = norm_lower_bound(row.operator, CayleySpace(Z2Z3), budget)
+        assert got.lower_bound.hex() == fresh.lower_bound.hex()
+        assert got.residual.hex() == fresh.residual.hex()
+        assert (got.iterations, got.support_size, got.radius_hint, got.converged) == (
+            fresh.iterations, fresh.support_size, fresh.radius_hint, fresh.converged
+        )
+        assert got.witness.coefficients == fresh.witness.coefficients
+
+
+def test_window_reused_only_for_the_same_symbols_and_limits(monkeypatch):
+    space = CayleySpace(Z2Z3)
+    sts = S * T23 * S
+    T = FormalOperator(Z2Z3, {T23: 0.5, sts: 0.5})
+    base = NormBudget(max_iterations=10, support_cap=200)
+    closed = _record_closes(monkeypatch)
+    norm_lower_bound(T, space, base)
+    # new coefficients or a start vector keep the window
+    norm_lower_bound(T.scale(-1j), space, base)
+    start = StateVector(space, {space.base_point: 2.0, T23: 1j})
+    norm_lower_bound(T, space, replace(base, start_vector=start))
+    assert len(closed) == 1
+    changes = [
+        (FormalOperator(Z2Z3, {sts: 0.5, T23: 0.5}), base),  # the symbols in another order
+        (T, base),
+        (T, replace(base, support_cap=201)),
+        (T, replace(base, max_iterations=11)),
+    ]
+    for n, (op, budget) in enumerate(changes, start=2):
+        norm_lower_bound(op, space, budget)
+        assert len(closed) == n
+        assert space._last_window[1] is closed[-1]
+
+
+def test_replaced_window_is_freed_before_the_next_closes(monkeypatch):
+    space = CayleySpace(Z2Z3)
+    T = FormalOperator(Z2Z3, {T23: 0.5, S * T23 * S: 0.5})
+    budget = NormBudget(max_iterations=10, support_cap=200)
+    norm_lower_bound(T, space, budget)
+    old = weakref.ref(space._last_window[1])
+    alive_when_closing = []
+    close = spaces.CayleyWindow.close
+
+    def watched(window, *args):
+        alive_when_closing.append(old() is not None)
+        return close(window, *args)
+
+    monkeypatch.setattr(spaces.CayleyWindow, "close", watched)
+    norm_lower_bound(T, space, replace(budget, support_cap=150))
+    assert alive_when_closing == [False]
+    assert old() is None
+
+
+def test_cli_runs_share_no_window(tmp_path, monkeypatch, capsys):
+    # the second run asks for the very window the first one closed last
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(
+        "presentation.orders = 2, 3\npresentation.names = s, t\nexperiment = norm\n"
+        "operator.T = 0.5*t; 0.5*s t s\nbudgets.max_iterations = 60\nbudgets.support_cap = 1000\n"
+    )
+    closed = _record_closes(monkeypatch)
+    for name in ("one.csv", "two.csv"):
+        assert cli.main(["norm", "--config", str(cfg), "--out", str(tmp_path / name)]) == cli.EXIT_PASS
+    assert len(closed) == 2
+    assert (tmp_path / "one.csv").read_text() == (tmp_path / "two.csv").read_text()
 
 
 def test_panalytic_rejects_trivial_h():

@@ -23,7 +23,7 @@ from actrep.operators import (
 from actrep import operators, spaces
 from actrep.spaces import CayleySpace
 
-from oracles import dense_compression_norm, reference_window
+from oracles import dense_compression_norm, reference_window, scatter_matvec
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -264,6 +264,12 @@ def test_norm_lower_bound_tiny_cap_still_sound():
     assert est.lower_bound == 1.0
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_norm_lower_bound_rejects_support_cap_below_one(cap):
+    with pytest.raises(ValueError, match="support_cap must be >= 1"):
+        norm_lower_bound(FormalOperator(F2, {B: 1.0}), SPACE, NormBudget(support_cap=cap))
+
+
 def test_norm_lower_bound_start_vector():
     T = FormalOperator(F2, {B: 1.0})
     start = StateVector(SPACE, {E: 0.5, B: 0.5})
@@ -315,6 +321,24 @@ def test_window_matches_reference_closure():
     assert cases == 45
 
 
+def test_support_matvec_matches_scatter_add_over_the_window():
+    # moving only the iterate's support gives the same nonzero entries, bit for bit
+    rng = np.random.default_rng(6)
+    for T, space, budget in _window_cases():
+        union, _, targets = operators._window(T, space, budget)
+        slot = {g: u for u, g in enumerate(union)}
+        fwd = [(a, slot[g]) for g, a in T.coefficients.items()]
+        bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in T.coefficients.items()]
+        for density in (0.05, 0.3, 1.0):
+            v = rng.standard_normal(len(targets)) + 1j * rng.standard_normal(len(targets))
+            v[rng.random(len(targets)) >= density] = 0.0
+            for terms in (fwd, bwd):
+                got = operators._matvec(targets, terms, v)
+                want = scatter_matvec(targets, terms, v)
+                assert np.array_equal(got != 0, want != 0)
+                assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+
 def test_norm_lower_bound_equals_exact_reapplication():
     # re-certification on window ids is bit-identical to op_apply on the witness
     for T, space, budget in _window_cases():
@@ -328,15 +352,16 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch):
     T = FormalOperator(F2, {c: complex(1.0 / 3, 0.1 * i) for i, c in enumerate(conj)})
     # the cap leaves witness images outside the window, so their labelling collides too
     budget = NormBudget(max_iterations=6, support_cap=40)
-    union, window, targets = operators._window(T, SPACE, budget)
-    est = norm_lower_bound(T, SPACE, budget)
+    # a fresh space per call, so that no call reuses another's window
+    union, window, targets = operators._window(T, CayleySpace(F2), budget)
+    est = norm_lower_bound(T, CayleySpace(F2), budget)
     monkeypatch.setattr(spaces, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
-    union2, window2, targets2 = operators._window(T, SPACE, budget)
+    union2, window2, targets2 = operators._window(T, CayleySpace(F2), budget)
     assert window2.points(range(window2.size)) == window.points(range(window.size))
     assert window2.depth.tolist() == window.depth.tolist()
     assert np.array_equal(targets2, targets)
-    again = norm_lower_bound(T, SPACE, budget)
-    assert again.witness == est.witness
+    again = norm_lower_bound(T, CayleySpace(F2), budget)
+    assert again.witness.coefficients == est.witness.coefficients
     assert again.lower_bound == est.lower_bound
     assert (again.iterations, again.residual) == (est.iterations, est.residual)
 
