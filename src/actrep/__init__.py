@@ -46,7 +46,6 @@ from .dynamics import (
     check_Wj_disjoint,
     finite_order_blowup,
     ideal_experiment,
-    loxodromic_probe,
     pingpong_certificate,
     tracial_property_check,
     verify_panalytic,
@@ -87,7 +86,6 @@ __all__ = [
     "check_Wj_disjoint",
     "finite_order_blowup",
     "ideal_experiment",
-    "loxodromic_probe",
     "pingpong_certificate",
     "tracial_property_check",
     "verify_panalytic",

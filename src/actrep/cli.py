@@ -449,7 +449,10 @@ def run_pingpong(config: ExperimentConfig, seed: int | None, slack: float) -> Ex
     h = config.element("h")
     g = config.element("g")
     b = config.budgets
-    rep = pingpong_certificate(h, g, b.L, b.J_max, b.R, c_min=b.c_min)
+    if b.R < 0:
+        # R is only echoed: the action is free, so no ball needs scanning
+        raise ValueError("radius must be >= 0")
+    rep = pingpong_certificate(h, g, b.L, b.J_max, c_min=b.c_min)
     # (bound, value, holds) of the injectivity, disjointness and displacement checks
     checks = [
         (0.0, float(len(rep.trivial_words)), rep.injectivity_ok),
@@ -572,7 +575,8 @@ def run(
     config = build_config(raw_config, config_path)
     if config.experiment and config.experiment != experiment:
         raise ConfigError(
-            f"config names experiment {config.experiment!r} but {experiment!r} was invoked"
+            f"{config_path}: config names experiment {config.experiment!r} "
+            f"but {experiment!r} was invoked"
         )
     if not math.isfinite(slack):
         raise ConfigError(f"slack must be finite, got {fmt(slack)}")
@@ -587,8 +591,8 @@ def run(
         print(f"budget overflow: {exc}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
-    except ValueError as exc:
-        # a bad word or a budget out of range in the config
+    except (ValueError, OverflowError) as exc:
+        # a bad word, a budget out of range or exponents too large in the config
         raise ConfigError(f"{config_path}: {exc}") from None
 
     rows = [ResultRow(experiment, ph, *values) for values in result.rows]
@@ -654,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             slack=args.slack,
         )
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

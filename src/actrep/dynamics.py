@@ -113,17 +113,14 @@ def average_MJ(T: FormalOperator, g: GroupElement, J: int) -> FormalOperator:
         raise ValueError("J must be >= 1")
     pres = T.presentation
     e = pres.identity()
-    ginv = g.inverse()
     acc: dict[GroupElement, complex] = {}
     out: dict[GroupElement, complex] = {}
     for s, c in T.coefficients.items():
         if s == e:
             out[e] = c  # exact: conjugation fixes e and nothing else lands on it
             continue
-        current = s
-        for _ in range(J):
-            current = ginv * current * g
-            acc[current] = acc.get(current, 0j) + c
+        for conj in conjugate_sequence(g, s, J):
+            acc[conj] = acc.get(conj, 0j) + c
     for s, c in acc.items():
         out[s] = out.get(s, 0j) + c / J
     return FormalOperator(pres, out)
@@ -428,31 +425,30 @@ def check_Wj_disjoint(h: GroupElement, g: GroupElement, J: int, L: int) -> WjDis
     """Exhaustive disjointness check of the translate family W_j . x_i.
 
     W_0 is enumerated in the abstract free product <h> * <g> (words of
-    length at most L not beginning with a g-power, the identity included),
-    evaluated into the acting group and pushed to the base point x_i once,
-    then translated by g^j for |j| <= J.  A collision between distinct j
-    exhibits a nontrivial abstract word v^-1 g^(j-k) u whose image fixes
-    x_i.  The action is free, so the collisions would be the same at any
-    other point.
+    length at most L not beginning with a g-power, the identity included)
+    and evaluated into the acting group once, then translated by g^j for
+    |j| <= J.  The base point x_i is the identity, so the point of a word is
+    the word's image itself.  A collision between distinct j exhibits a
+    nontrivial abstract word v^-1 g^(j-k) u whose image fixes x_i.  The
+    action is free, so the collisions would be the same at any other point.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
-    space = CayleySpace(h.presentation)
-    x_i = space.base_point
+    x_i = h.presentation.identity()
     abstract = _abstract_pair(h, g)
     aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
     words = aspace.enumerate_ball(abstract.identity(), L)
     w0 = [w for w in words if not first_syllable_in(w, 1)]
     gbar = abstract.generator(1)
     images = (h, g)
-    # the action is a homomorphism: g^j u . x_i = g^j . (u . x_i)
-    pushed = [space.apply(_evaluate(u, images), x_i) for u in w0]
+    # the action is a homomorphism: g^j u . x_i = g^j . (u . x_i) = g^j u
+    pushed = [_evaluate(u, images) for u in w0]
     seen: dict[Point, tuple[int, GroupElement]] = {}
     collisions: list[WjCollision] = []
     for j in range(-J, J + 1):
         gj = g ** j
         for u, ux in zip(w0, pushed):
-            point = space.apply(gj, ux)
+            point = gj * ux
             prev = seen.get(point)
             if prev is None:
                 seen[point] = (j, u)
@@ -490,14 +486,16 @@ class DisplacementRow:
 
 
 def _displacement(
-    space: CayleySpace, w: GroupElement, n_max: int, c_min: float
+    w: GroupElement, n_max: int, c_min: float
 ) -> tuple[list[DisplacementRow], bool]:
-    """d(x0, w^n x0) for n up to n_max, and whether each is at least c_min * n."""
+    """d(x0, w^n x0) for n up to n_max, and whether each is at least c_min * n.
+
+    The base point is the identity, so d(x0, w^n x0) is the word length of w^n.
+    """
     rows: list[DisplacementRow] = []
     current = w
     for n in range(1, n_max + 1):
-        d = space.distance(space.base_point, space.apply(current, space.base_point))
-        rows.append(DisplacementRow(n, d, c_min * n))
+        rows.append(DisplacementRow(n, current.word_length(), c_min * n))
         current = current * w
     return rows, not any(r.displacement < r.required for r in rows)
 
@@ -506,16 +504,14 @@ def _displacement(
 class PingPongReport:
     """Budgeted consistency certificate for the pair (h, g).
 
-    PASS means no reduced pair word of length <= L acts trivially on the
-    tested ball, the translate family is disjoint at (J, L), and g displaces
+    PASS means no reduced pair word of length <= L evaluates to the
+    identity, the translate family is disjoint at (J, L), and g displaces
     the base point linearly; all three are falsification checks inside the
-    stated budgets, never proofs.  The elliptic line refines injectivity:
-    words containing a g-syllable must move something.
+    stated budgets, never proofs.
     """
 
     trivial_words: list[GroupElement]
     injectivity_ok: bool
-    elliptic_ok: bool
     disjointness: WjDisjointReport
     displacement_rows: list[DisplacementRow]
     displacement_ok: bool
@@ -527,74 +523,35 @@ def pingpong_certificate(
     g: GroupElement,
     L: int,
     J: int,
-    R: int,
     c_min: float = 0.5,
 ) -> PingPongReport:
-    """Run the three free-product consistency probes for (h, g)."""
+    """Run the three free-product consistency probes for (h, g).
+
+    The group acts freely on its Cayley graph, so a pair word acts trivially
+    exactly when its image is the identity.
+    """
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
     aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
-    ball = space.enumerate_ball(space.base_point, R)
-    images = (h, g)
-
-    trivial: list[GroupElement] = []
-    for wbar in aspace.enumerate_ball(abstract.identity(), L):
-        if wbar.is_identity:
-            continue
-        w = _evaluate(wbar, images)
-        if not any(space.apply(w, x) != x for x in ball):
-            trivial.append(wbar)
+    trivial = [
+        wbar
+        for wbar in aspace.enumerate_ball(abstract.identity(), L)
+        if not wbar.is_identity and _evaluate(wbar, (h, g)).is_identity
+    ]
     injectivity_ok = not trivial
-    elliptic_ok = not any(
-        any(fi == 1 for fi, _ in wbar.syllables) for wbar in trivial
-    )
 
     disjointness = check_Wj_disjoint(h, g, J, L)
 
-    displacement_rows, displacement_ok = _displacement(space, g, J, c_min)
+    displacement_rows, displacement_ok = _displacement(g, J, c_min)
     verdict = (
         PASS if (injectivity_ok and disjointness.disjoint and displacement_ok) else FALSIFIED
     )
     return PingPongReport(
         trivial_words=trivial,
         injectivity_ok=injectivity_ok,
-        elliptic_ok=elliptic_ok,
         disjointness=disjointness,
         displacement_rows=displacement_rows,
         displacement_ok=displacement_ok,
         verdict=verdict,
     )
-
-
-@dataclass
-class LoxodromicReport:
-    word: GroupElement
-    rows: list[DisplacementRow]
-    rate: float
-    verdict: str
-
-
-def loxodromic_probe(
-    g1: GroupElement,
-    g2: GroupElement,
-    l: int,
-    k: int,
-    n_max: int = 10,
-    c_min: float = 0.5,
-) -> LoxodromicReport:
-    """Linear displacement growth of the product g1^l g2^k from the base point.
-
-    A loxodromic isometry moves every point at a positive linear rate; its
-    budgeted surrogate is d(x0, w^n x0) >= c_min * n for n up to n_max.  The
-    empirical rate is the displacement at n_max divided by n_max.
-    """
-    if l < 1 or k < 1:
-        raise ValueError("l and k must be >= 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    w = (g1 ** l) * (g2 ** k)
-    rows, ok = _displacement(CayleySpace(g1.presentation), w, n_max, c_min)
-    rate = rows[-1].displacement / n_max
-    return LoxodromicReport(word=w, rows=rows, rate=rate, verdict=PASS if ok else FALSIFIED)

@@ -474,28 +474,25 @@ class FaithfulnessReport:
     """Outcome of the budgeted faithfulness probe.
 
     ``witnesses`` maps every nontrivial word of the census to a point it
-    moves; ``failures`` lists words that fixed the whole tested ball.
+    moves; ``failures`` lists words that fixed the base point.
     """
 
     witnesses: dict[GroupElement, Point]
     failures: list[GroupElement]
     words_checked: int
-    ball_size: int
     verdict: str  # PASS | FALSIFIED
 
 
-def faithfulness_check(
-    space: CayleySpace, word_length_budget: int, radius: int
-) -> FaithfulnessReport:
-    """Search moved-point witnesses for every short nontrivial word.
+def faithfulness_check(space: CayleySpace, word_length_budget: int) -> FaithfulnessReport:
+    """Check that every short nontrivial word moves the base point.
 
-    For each reduced word of length at most ``word_length_budget`` the
-    radius-``radius`` ball around the base point is scanned for a point the
-    word moves.  PASS means every word has a witness within the budget; a
-    failure exhibits a word acting trivially on the whole tested window.
+    The action is free, so a word that moves any point moves the base point,
+    which is then the only point worth testing.  PASS means every reduced
+    word of length at most ``word_length_budget`` moves it; a failure
+    exhibits a nontrivial word acting trivially.
     """
     words = CayleySpace(space.presentation).enumerate_ball(space.presentation.identity(), word_length_budget)
-    ball = space.enumerate_ball(space.base_point, radius)
+    x = space.base_point
     witnesses: dict[GroupElement, Point] = {}
     failures: list[GroupElement] = []
     checked = 0
@@ -503,11 +500,9 @@ def faithfulness_check(
         if w.is_identity:
             continue
         checked += 1
-        for x in ball:
-            if space.apply(w, x) != x:
-                witnesses[w] = x
-                break
+        if space.apply(w, x) != x:
+            witnesses[w] = x
         else:
             failures.append(w)
     verdict = PASS if not failures else FALSIFIED
-    return FaithfulnessReport(witnesses, failures, checked, len(ball), verdict)
+    return FaithfulnessReport(witnesses, failures, checked, verdict)

@@ -156,6 +156,30 @@ def reference_Wj_collisions(h, g, J, L):
     return out
 
 
+def reference_trivial_words(h, g, L, R):
+    """The pair words of length <= L that ``pingpong_certificate`` reports
+    as acting trivially, by the direct scan: a nontrivial word counts when
+    its image moves no point of the radius-R ball around the base point.
+    """
+    from actrep.dynamics import _WORD_CAP, _abstract_pair, _evaluate
+    from actrep.spaces import CayleySpace
+
+    space = CayleySpace(h.presentation)
+    abstract = _abstract_pair(h, g)
+    aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
+    ball = space.enumerate_ball(space.base_point, R)
+    images = (h, g)
+
+    trivial = []
+    for wbar in aspace.enumerate_ball(abstract.identity(), L):
+        if wbar.is_identity:
+            continue
+        w = _evaluate(wbar, images)
+        if not any(space.apply(w, x) != x for x in ball):
+            trivial.append(wbar)
+    return trivial
+
+
 def scatter_matvec(targets, terms, v):
     """The estimator's matvec as a scatter-add over the whole window.
 

@@ -177,7 +177,7 @@ def test_criterion_6_orbit_disjointness():
 def test_criterion_7_faithfulness():
     t0 = time.perf_counter()
     for space in (F2_SPACE, Z2Z3_SPACE):
-        report = faithfulness_check(space, 6, 1)
+        report = faithfulness_check(space, 6)
         assert report.verdict == "PASS"
         assert not report.failures
         assert len(report.witnesses) == report.words_checked

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from actrep.dynamics import PASS, averaging_decay_report, ideal_experiment
 from actrep.groups import INFINITE, free_group, free_product, reduce
 from actrep.operators import FormalOperator, op_apply
 from actrep.spaces import CayleySpace
+
+GOLDEN = Path(__file__).parent / "golden"
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -136,6 +139,9 @@ def test_experiment_mismatch_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, PANALYTIC_CFG)
     code = main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: config names experiment 'panalytic' but 'blowup' was invoked\n"
+    )
 
 
 def test_blowup_run_exact(tmp_path):
@@ -505,13 +511,18 @@ def test_config_errors_name_the_config_file(tmp_path, capsys):
         ("panalytic", "budgets.max_iterations = 0", "max_iterations must be >= 1"),
         ("panalytic", "budgets.J_max = 0", "J_max must be >= 1"),
         ("average", "budgets.J_list = 0, 2", "J must be >= 1"),
+        ("pingpong", "budgets.R = -1", "radius must be >= 0"),
     ],
 )
 def test_out_of_range_budgets_exit_3_naming_the_config_file(
     tmp_path, capsys, experiment, line, message
 ):
     # the estimator and the engines check these ranges, below the config loader
-    base = TORSION_CFG if experiment == "panalytic" else STARVED_AVERAGE_CFG
+    base = {
+        "panalytic": TORSION_CFG,
+        "average": STARVED_AVERAGE_CFG,
+        "pingpong": (GOLDEN / "pingpong_pass.cfg").read_text(),
+    }[experiment]
     cfg = write_config(tmp_path, base + line + "\n")
     out = tmp_path / "x.csv"
     assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
@@ -530,9 +541,23 @@ def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
     out = tmp_path / "x.csv"
     assert main(["panalytic", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: syllable exponents too large for the integer window")
+    assert err.startswith(f"error: {cfg}: syllable exponents too large for the integer window")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_pingpong_echoes_radius_without_scanning_a_ball(tmp_path, capsys):
+    # the action is free, so the checks never enumerate the radius-R ball,
+    # which at R = 40 would be far beyond the ball cap
+    cfg = write_config(tmp_path, (GOLDEN / "pingpong_pass.cfg").read_text() + "budgets.R = 40\n")
+    out = tmp_path / "pp.csv"
+    assert main(["pingpong", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+
+    def without_hash(text):
+        return [line.split(",")[:1] + line.split(",")[2:] for line in text.splitlines()]
+
+    assert without_hash(out.read_text()) == without_hash((GOLDEN / "pingpong_pass.csv").read_text())
+    assert "pingpong: h=a g=b L=4 J=4 R=40 c_min=0.5" in capsys.readouterr().out
 
 
 def test_budget_overflow_writes_header_only_csv(tmp_path, capsys, monkeypatch):

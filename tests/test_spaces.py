@@ -160,7 +160,7 @@ def test_orbit_labels_invariant_under_generators():
 
 def test_faithfulness_cayley_pass():
     space = CayleySpace(F2)
-    report = faithfulness_check(space, 4, 0)
+    report = faithfulness_check(space, 4)
     assert report.verdict == "PASS"
     assert report.failures == []
     assert report.words_checked == len(space.enumerate_ball(E, 4)) - 1
@@ -172,7 +172,7 @@ def test_faithfulness_cayley_pass():
 
 def test_faithfulness_vacuous_budget():
     space = CayleySpace(F2)
-    report = faithfulness_check(space, 0, 2)
+    report = faithfulness_check(space, 0)
     assert report.verdict == "PASS"
     assert report.witnesses == {}
     assert report.words_checked == 0
@@ -180,7 +180,7 @@ def test_faithfulness_vacuous_budget():
 
 def test_faithfulness_z2z3_exhaustive():
     space = CayleySpace(Z2Z3)
-    report = faithfulness_check(space, 6, 1)
+    report = faithfulness_check(space, 6)
     assert report.verdict == "PASS"
     for w, x in report.witnesses.items():
         assert x == space.base_point
