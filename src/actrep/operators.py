@@ -274,11 +274,11 @@ def _zero_estimate() -> NormEstimate:
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
     """The estimator's window: the identity closed under the symbols of T,
     then their inverses, up to depth ``2 * max_iterations + 1`` and
-    ``support_cap`` points.  Returns those symbols, the window and its
-    targets.
+    ``support_cap`` points.  Returns those symbols and the window.
 
     The space keeps the last window it closed and hands it back while the
-    symbols, in order, and both limits stay the same.
+    symbols, in order, and both limits stay the same, with every symbol
+    target resolved so far.
     """
     union = tuple(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
     max_depth = 2 * budget.max_iterations + 1
@@ -286,19 +286,19 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
     if space._last_window is None or space._last_window[0] != key:
         space._last_window = None  # free the old window before the new one grows
         window = CayleyWindow(space.presentation, union)
-        space._last_window = (key, window, window.close(max_depth, budget.support_cap))
-    _, window, targets = space._last_window
-    return list(union), window, targets
+        window.close(max_depth, budget.support_cap)
+        space._last_window = (key, window)
+    return list(union), space._last_window[1]
 
 
-def _matvec(targets: np.ndarray, terms: list[tuple[complex, int]], v: np.ndarray) -> np.ndarray:
+def _matvec(window: CayleyWindow, terms: list[tuple[complex, int]], v: np.ndarray) -> np.ndarray:
     """sum a pi(g) v on the window, for the (a, column of g) pairs ``terms``.
 
     Only the support of v is moved, term by term in order, and images outside
     the window are dropped.
     """
     nz = np.flatnonzero(v)
-    images, values = targets[nz], v[nz]
+    images, values = window.targets(nz), v[nz]
     w = np.zeros(len(v), dtype=np.complex128)
     for a, u in terms:
         dst = images[:, u]
@@ -345,7 +345,11 @@ def norm_lower_bound(
     level by level in the same breadth-first order as a point-by-point
     loop: new points in first-occurrence order of the (point, symbol) scan,
     up to depth ``2 * max_iterations + 1``, truncated at ``support_cap``.
-    Group elements are built only for the witness and the ``start_vector``
+    Growth stops as soon as the window is full; a point's images under the
+    symbols are then looked up the first time the iterate or the
+    re-certification reaches it, which gives the ids the full closure would
+    and spares the window points the iteration never touches.  Group
+    elements are built only for the witness and the ``start_vector``
     lookup.  The bound ||T w|| / ||w|| is computed on window ids, with the
     images outside the window resolved exactly, and equals
     ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
@@ -356,8 +360,9 @@ def norm_lower_bound(
     ``space`` keeps the last closed window: a later call on the same space
     with the same symbols in the same order (the union of T's symbols and
     their inverses), the same ``max_iterations`` and the same
-    ``support_cap`` reuses it instead of closing it again, as the rows of a
-    torsion sweep do, whose conjugates cycle.  Any other call frees the old
+    ``support_cap`` reuses it, with the images it has already looked up,
+    instead of closing it again, as the rows of a torsion sweep do, whose
+    conjugates cycle.  Any other call frees the old
     window before closing its own.  The window lives as long as the space,
     which each engine builds once per sweep.  Each matvec moves only the
     iterate's support, term by term in T's order, so nonzero entries are
@@ -365,22 +370,26 @@ def norm_lower_bound(
 
     ``converged`` means only that the Rayleigh values stagnated below
     ``budget.residual_target``, not that the estimate is close to the norm.
+    Operators with ``sum |a_g|`` above ``2**250`` raise ValueError: for a
+    unit v, ||T* T v||^2 <= (sum |a_g|)^4 must stay below float64's range.
     """
     budget = budget or NormBudget()
     if budget.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if budget.support_cap < 1:
         raise ValueError("support_cap must be >= 1")
+    if not triangle_upper_bound(T) <= 2.0**250:
+        raise ValueError("coefficients too large for the estimator: sum |a_g| exceeds 2**250")
     if not T.coefficients:
         return _zero_estimate()
 
     symbols = list(T.coefficients.items())
-    union_elems, window, targets = _window(T, space, budget)
+    union_elems, window = _window(T, space, budget)
     slot = {g: u for u, g in enumerate(union_elems)}
     fwd = [(a, slot[g]) for g, a in symbols]
     bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in symbols]
 
-    v = np.zeros(len(targets), dtype=np.complex128)
+    v = np.zeros(window.size, dtype=np.complex128)
     if budget.start_vector is not None:
         start = list(budget.start_vector.coefficients.items())
         for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
@@ -398,14 +407,14 @@ def norm_lower_bound(
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
-        w = _matvec(targets, fwd, v)
+        w = _matvec(window, fwd, v)
         prev, ray = ray, float(_norm(w) / _norm(v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
-        u = _matvec(targets, bwd, w)
+        u = _matvec(window, bwd, w)
         nu = _norm(u)
         if nu == 0.0:
             break

@@ -52,7 +52,7 @@ class CayleySpace:
         self.base_point: Point = presentation.identity()
         self.ball_cap = ball_cap
         self._moves = self._one_step_moves()
-        self._last_window = None  # (key, CayleyWindow, targets), see operators._window
+        self._last_window = None  # (key, CayleyWindow), see operators._window
 
     def _one_step_moves(self) -> list[GroupElement]:
         # generator order, positive exponent before negative; for an order-2
@@ -101,6 +101,9 @@ class CayleySpace:
 #: Elements of one transient (point, symbol, column) array while a window
 #: grows; block sizes follow from it, the symbol count and the row width.
 _BLOCK_ELEMENTS = 1 << 16
+
+#: Symbol target of a point whose images have not been looked up yet.
+_UNRESOLVED = -2
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _OVERFLOW = "syllable exponents too large for the integer window"
@@ -182,7 +185,9 @@ class CayleyWindow:
     fingerprint shared by several stored points makes the query be compared
     with each of them.  ``symbols`` are the group elements the window is
     acted on by, addressed by their position.  The window starts as the
-    identity alone, with id 0.
+    identity alone, with id 0, and :meth:`close` grows it until it is full;
+    from then on the images of a point under the symbols are resolved the
+    first time :meth:`targets` is asked for them.
     """
 
     def __init__(self, presentation: FreeProductPresentation, symbols: Sequence[GroupElement]):
@@ -342,17 +347,19 @@ class CayleyWindow:
             out[i, j, p[i, j]] = e * R + f
         return out, lens
 
-    def close(self, max_depth: int, cap: int) -> np.ndarray:
-        """Grow the window breadth-first and return its symbol targets.
+    def close(self, max_depth: int, cap: int) -> None:
+        """Grow the window breadth-first until no point can join.
 
         Level by level, the images of each point under every symbol are
         taken in row-major (point, symbol) order.  An image not yet in the
         window joins it, one level deeper, while its point's depth is below
         ``max_depth`` and the window holds fewer than ``cap`` points.
-        Entry ``[i, u]`` of the int32 result is the id of symbol ``u``
-        applied to point ``i``, or -1 when that image lies outside the
-        final window.  Blocks of points are processed in turn, so no
-        transient array exceeds a fixed number of elements.
+        Growth stops once every point is expanded, the window holds ``cap``
+        points or the next point to expand sits at depth ``max_depth``: the
+        window is then full, and the symbol targets of the points not yet
+        expanded are left for :meth:`targets` to resolve on demand.  Blocks of points are
+        processed in turn, so no transient array exceeds a fixed number of
+        elements.
 
         Each multiplication grows a syllable exponent by at most the largest
         symbol exponent, and every level holds a point, so images are at
@@ -364,24 +371,48 @@ class CayleyWindow:
         reach = steps * int(np.abs(self._sym // R).max(initial=0))
         if (reach + 1) * R > _INT64_MAX:
             raise OverflowError(_OVERFLOW)
-        U = len(self._sym)
         blocks: list[np.ndarray] = []
-        lo = 0
-        while lo < self.size:
-            hi = self.size
-            level = int(self._depth[lo])
-            i = lo
-            while i < hi:
-                step = _BLOCK_ELEMENTS // (U * (self._rows.shape[1] + self._sym.shape[1]))
-                j = min(hi, i + max(1, step))
-                rows, lens = self._act(self._rows[i:j], self._len[i:j], np.arange(U)[None, :])
-                room = cap - self.size if level < max_depth else 0
-                ids = self._intern(rows.reshape(-1, rows.shape[-1]), lens.reshape(-1), room, level + 1)
-                blocks.append(ids.reshape(j - i, U).astype(np.int32))
-                i = j
-            lo = hi
-        self._targets = np.concatenate(blocks)
-        return self._targets
+        i, hi = 0, 1  # the next point to expand, and the end of its level
+        while i < self.size and self.size < cap and self._depth[i] < max_depth:
+            if i == hi:
+                hi = self.size
+            j = min(hi, i + self._step())
+            blocks.append(self._expand(slice(i, j), cap - self.size, int(self._depth[i]) + 1))
+            i = j
+        unresolved = np.full((self.size - i, len(self._sym)), _UNRESOLVED, dtype=np.int32)
+        self._targets = np.concatenate([*blocks, unresolved])
+
+    def _step(self) -> int:
+        """Points per block of :meth:`_expand`."""
+        return max(1, _BLOCK_ELEMENTS // (len(self._sym) * (self._rows.shape[1] + self._sym.shape[1])))
+
+    def _expand(self, points, room: int, depth: int) -> np.ndarray:
+        """Ids of every symbol applied to the selected points, as int32 rows;
+        images not in the window join it at ``depth`` while there is room,
+        and the rest get -1."""
+        U = len(self._sym)
+        rows, lens = self._act(self._rows[points], self._len[points], np.arange(U)[None, :])
+        ids = self._intern(rows.reshape(-1, rows.shape[-1]), lens.reshape(-1), room, depth)
+        return ids.reshape(-1, U).astype(np.int32)
+
+    def targets(self, ids: np.ndarray) -> np.ndarray:
+        """Rows ``ids`` of the int32 symbol targets of the closed window.
+
+        Entry ``[k, u]`` is the id of symbol ``u`` applied to point
+        ``ids[k]``, or -1 when that image lies outside the window.  Rows are
+        resolved the first time they are asked for and kept: the window is
+        full, so its points and ids are final and each image is only looked
+        up, giving the same ids as expanding the point during the closure.
+        """
+        rows = self._targets[ids]
+        todo = ids[rows[:, 0] == _UNRESOLVED]
+        if todo.size:
+            step = self._step()
+            for i in range(0, len(todo), step):
+                block = todo[i : i + step]
+                self._targets[block] = self._expand(block, 0, 0)
+            rows = self._targets[ids]
+        return rows
 
     def images(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Exact ids of symbol ``u[k]`` applied to point ``ids[j]``, at [k, j].
@@ -391,7 +422,7 @@ class CayleyWindow:
         by block and never stored, so they cost no more memory than the
         window itself.
         """
-        out = self._targets[ids][:, u].T.astype(np.int64)
+        out = self.targets(ids)[:, u].T.astype(np.int64)
         outside = out < 0
         if outside.any():
             pairs = np.broadcast_to(u[:, None], out.shape)[outside], np.broadcast_to(ids, out.shape)[outside]

@@ -546,6 +546,19 @@ def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
     assert not out.exists()
 
 
+def test_huge_coefficients_exit_3(tmp_path, capsys):
+    # the iteration would overflow float64 and run on NaN
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\npresentation.names = a, b\n"
+        "operator.T = 1e200*a; 1e200*b\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main(["norm", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: coefficients too large for the estimator: sum |a_g| exceeds 2**250\n"
+    assert not out.exists()
+
+
 def test_pingpong_echoes_radius_without_scanning_a_ball(tmp_path, capsys):
     # the action is free, so the checks never enumerate the radius-R ball,
     # which at R = 40 would be far beyond the ball cap

@@ -270,6 +270,19 @@ def test_norm_lower_bound_rejects_support_cap_below_one(cap):
         norm_lower_bound(FormalOperator(F2, {B: 1.0}), SPACE, NormBudget(support_cap=cap))
 
 
+def test_norm_lower_bound_rejects_coefficients_that_would_overflow():
+    # at sum |a_g| = 2**250 every square of the iteration stays finite
+    s = 2.0**249
+    with np.errstate(over="raise", invalid="raise"):
+        est = norm_lower_bound(
+            FormalOperator(F2, {A: s, B: s}), SPACE, NormBudget(max_iterations=20, support_cap=500)
+        )
+    assert s < est.lower_bound <= 2 * s  # the exact norm is 2s (two free unitaries)
+    for c in (2.0**250, 1e200):
+        with pytest.raises(ValueError, match="coefficients too large"):
+            norm_lower_bound(FormalOperator(F2, {A: c, B: c}), SPACE)
+
+
 def test_norm_lower_bound_start_vector():
     T = FormalOperator(F2, {B: 1.0})
     start = StateVector(SPACE, {E: 0.5, B: 0.5})
@@ -310,7 +323,8 @@ def test_window_matches_reference_closure():
     cases = 0
     for T, space, budget in _window_cases():
         points, depths, targets = reference_window(T, space, budget)
-        union, window, got = operators._window(T, space, budget)
+        union, window = operators._window(T, space, budget)
+        got = window.targets(np.arange(window.size))
         assert union == list(targets)
         assert window.points(range(window.size)) == points
         assert window.depth.tolist() == depths
@@ -321,20 +335,52 @@ def test_window_matches_reference_closure():
     assert cases == 45
 
 
+def test_targets_resolved_on_demand_equal_the_whole_table():
+    # rows resolved in a random order and in small chunks equal the rows
+    # resolved all at once, and the dict-based closure's targets
+    rng = np.random.default_rng(11)
+    for T, space, budget in _window_cases():
+        _, _, reference = reference_window(T, space, budget)
+        union, whole = operators._window(T, CayleySpace(space.presentation), budget)
+        _, window = operators._window(T, CayleySpace(space.presentation), budget)
+        table = np.empty((window.size, len(union)), dtype=np.int32)
+        order = rng.permutation(window.size)
+        i = 0
+        while i < window.size:
+            chunk = order[i : i + int(rng.integers(1, 8))]
+            table[chunk] = window.targets(chunk)
+            i += len(chunk)
+        assert np.array_equal(table, whole.targets(np.arange(whole.size)))
+        for u, g in enumerate(union):
+            assert table[:, u].tolist() == reference[g]
+
+
+def test_full_window_resolves_only_the_rows_the_iterate_reaches():
+    # the uniform J = 8 average fills the 30,000-point window, but its
+    # iterate and witness reach only a few thousand of its points
+    T = FormalOperator(F2, {c: 1.0 / 8 for c in conjugate_sequence(B, A, 8)})
+    space = CayleySpace(F2)
+    norm_lower_bound(T, space)
+    window = space._last_window[1]
+    assert window.size == NormBudget().support_cap
+    assert np.count_nonzero(window._targets[:, 0] != spaces._UNRESOLVED) <= 6_000
+
+
 def test_support_matvec_matches_scatter_add_over_the_window():
     # moving only the iterate's support gives the same nonzero entries, bit for bit
     rng = np.random.default_rng(6)
     for T, space, budget in _window_cases():
-        union, _, targets = operators._window(T, space, budget)
+        # a fresh window, so that the first matvec resolves its rows itself
+        union, window = operators._window(T, CayleySpace(space.presentation), budget)
         slot = {g: u for u, g in enumerate(union)}
         fwd = [(a, slot[g]) for g, a in T.coefficients.items()]
         bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in T.coefficients.items()]
         for density in (0.05, 0.3, 1.0):
-            v = rng.standard_normal(len(targets)) + 1j * rng.standard_normal(len(targets))
-            v[rng.random(len(targets)) >= density] = 0.0
+            v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
+            v[rng.random(window.size) >= density] = 0.0
             for terms in (fwd, bwd):
-                got = operators._matvec(targets, terms, v)
-                want = scatter_matvec(targets, terms, v)
+                got = operators._matvec(window, terms, v)
+                want = scatter_matvec(window.targets(np.arange(window.size)), terms, v)
                 assert np.array_equal(got != 0, want != 0)
                 assert got[want != 0].tobytes() == want[want != 0].tobytes()
 
@@ -353,10 +399,12 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch):
     # the cap leaves witness images outside the window, so their labelling collides too
     budget = NormBudget(max_iterations=6, support_cap=40)
     # a fresh space per call, so that no call reuses another's window
-    union, window, targets = operators._window(T, CayleySpace(F2), budget)
+    union, window = operators._window(T, CayleySpace(F2), budget)
+    targets = window.targets(np.arange(window.size))
     est = norm_lower_bound(T, CayleySpace(F2), budget)
     monkeypatch.setattr(spaces, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
-    union2, window2, targets2 = operators._window(T, CayleySpace(F2), budget)
+    union2, window2 = operators._window(T, CayleySpace(F2), budget)
+    targets2 = window2.targets(np.arange(window2.size))
     assert window2.points(range(window2.size)) == window.points(range(window.size))
     assert window2.depth.tolist() == window.depth.tolist()
     assert np.array_equal(targets2, targets)
@@ -392,7 +440,7 @@ def test_window_takes_large_exponents_and_refuses_int64_overflow():
     T = FormalOperator(F2, {reduce(F2, [(0, 1 << 58)]): 0.5, B: 0.5j})
     budget = NormBudget(max_iterations=2, support_cap=50)
     points, _, _ = reference_window(T, SPACE, budget)
-    _, window, _ = operators._window(T, SPACE, budget)
+    _, window = operators._window(T, SPACE, budget)
     assert window.points(range(window.size)) == points
     est = norm_lower_bound(T, SPACE, budget)
     assert 0.5 < est.lower_bound <= 1.0  # the exact norm is 1 (two free unitaries)
