@@ -300,6 +300,8 @@ def _averaging_sweep(
     **rules: bool,
 ) -> EnvelopeReport:
     """Sweep the residuals M_J(T) - a_e e against (C/sqrt(J)) sum_{h != e} |a_h|."""
+    if C <= 0:
+        raise ValueError("C must be positive")
     pres = T.presentation
     e = pres.identity()
     a_e = T.identity_coefficient
@@ -390,64 +392,74 @@ def _abstract_pair(h: GroupElement, g: GroupElement) -> FreeProductPresentation:
     return free_product([element_order(h), element_order(g)], names=("h", "g"))
 
 
-def _evaluate(word: GroupElement, images: tuple[GroupElement, GroupElement]) -> GroupElement:
-    """Substitute the images for the abstract generators of a pair word."""
-    acc = images[0].presentation.identity()
-    for fi, e in word.syllables:
-        acc = acc * (images[fi] ** e)
-    return acc
+#: The words of <h> * <g> of length <= L, breadth first, and their images.
+_PairBall = tuple[list[GroupElement], list[GroupElement]]
+
+
+def _pair_ball(h: GroupElement, g: GroupElement, L: int) -> _PairBall:
+    """The words of <h> * <g> of length <= L, breadth first, and their images.
+
+    A word's image is its prefix's image times the power of h or g in its
+    last syllable; the prefix is shorter, so breadth-first order has already
+    evaluated it, and each word costs one multiplication.
+    """
+    abstract = _abstract_pair(h, g)
+    words = CayleySpace(abstract, ball_cap=_WORD_CAP).enumerate_ball(abstract.identity(), L)
+    powers: dict[tuple[int, int], GroupElement] = {}
+    image_of = {(): h.presentation.identity()}
+    for w in words[1:]:
+        last = w.syllables[-1]
+        if last not in powers:
+            powers[last] = (h, g)[last[0]] ** last[1]
+        image_of[w.syllables] = image_of[w.syllables[:-1]] * powers[last]
+    return words, list(image_of.values())
 
 
 @dataclass
 class WjCollision:
+    """Translates g^j u and g^k v meeting at ``point``, the image of both."""
+
     j: int
     u: GroupElement  # abstract word in W_0
     k: int
     v: GroupElement
     point: Point
-    witness_abstract: GroupElement  # v^-1 g^(j-k) u, nontrivial in <h>*<g>
-    witness_evaluated: GroupElement  # its image, which fixes the base point x_i
+    witness_abstract: GroupElement  # v^-1 g^(j-k) u, nontrivial in <h>*<g>, image e
 
 
 @dataclass
 class WjDisjointReport:
-    h: GroupElement
-    g: GroupElement
-    J: int
-    L: int
-    x_i: Point
-    words_tested: int
+    words_tested: int  # |W_0|
     collisions: list[WjCollision]
     disjoint: bool
 
 
-def check_Wj_disjoint(h: GroupElement, g: GroupElement, J: int, L: int) -> WjDisjointReport:
-    """Exhaustive disjointness check of the translate family W_j . x_i.
+def check_Wj_disjoint(
+    h: GroupElement, g: GroupElement, J: int, L: int, *, _ball: _PairBall | None = None
+) -> WjDisjointReport:
+    """Exhaustive disjointness check of the translates g^j W_0 of the base point.
 
-    W_0 is enumerated in the abstract free product <h> * <g> (words of
-    length at most L not beginning with a g-power, the identity included)
-    and evaluated into the acting group once, then translated by g^j for
-    |j| <= J.  The base point x_i is the identity, so the point of a word is
-    the word's image itself.  A collision between distinct j exhibits a
-    nontrivial abstract word v^-1 g^(j-k) u whose image fixes x_i.  The
-    action is free, so the collisions would be the same at any other point.
+    W_0 holds the words of the abstract free product <h> * <g> of length at
+    most L that do not begin with a g-power, the identity included.  They
+    and their images are read from one ball of pair words
+    (:func:`_pair_ball`), built here unless ``_ball`` passes the ball the
+    caller built, and the images are translated by g^j for |j| <= J.  The
+    base point is the identity, so the point of a word is its image.  A
+    collision between distinct j exhibits a nontrivial abstract word
+    v^-1 g^(j-k) u whose image is the identity.  The action is free, so the
+    collisions would be the same at any other base point.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
-    x_i = h.presentation.identity()
-    abstract = _abstract_pair(h, g)
-    aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
-    words = aspace.enumerate_ball(abstract.identity(), L)
-    w0 = [w for w in words if not first_syllable_in(w, 1)]
-    gbar = abstract.generator(1)
-    images = (h, g)
-    # the action is a homomorphism: g^j u . x_i = g^j . (u . x_i) = g^j u
-    pushed = [_evaluate(u, images) for u in w0]
+    words, images = _ball or _pair_ball(h, g, L)
+    gbar = words[0].presentation.generator(1)
+    w0 = [(u, ux) for u, ux in zip(words, images) if not first_syllable_in(u, 1)]
     seen: dict[Point, tuple[int, GroupElement]] = {}
     collisions: list[WjCollision] = []
     for j in range(-J, J + 1):
         gj = g ** j
-        for u, ux in zip(w0, pushed):
+        # the action is a homomorphism: the point of g^j u is g^j times u's image
+        for u, ux in w0:
             point = gj * ux
             prev = seen.get(point)
             if prev is None:
@@ -455,27 +467,8 @@ def check_Wj_disjoint(h: GroupElement, g: GroupElement, J: int, L: int) -> WjDis
             elif prev[0] != j:
                 k, v = prev
                 witness = v.inverse() * (gbar ** (j - k)) * u
-                collisions.append(
-                    WjCollision(
-                        j=j,
-                        u=u,
-                        k=k,
-                        v=v,
-                        point=point,
-                        witness_abstract=witness,
-                        witness_evaluated=_evaluate(witness, images),
-                    )
-                )
-    return WjDisjointReport(
-        h=h,
-        g=g,
-        J=J,
-        L=L,
-        x_i=x_i,
-        words_tested=len(w0),
-        collisions=collisions,
-        disjoint=not collisions,
-    )
+                collisions.append(WjCollision(j, u, k, v, point, witness))
+    return WjDisjointReport(words_tested=len(w0), collisions=collisions, disjoint=not collisions)
 
 
 @dataclass
@@ -507,7 +500,7 @@ class PingPongReport:
     PASS means no reduced pair word of length <= L evaluates to the
     identity, the translate family is disjoint at (J, L), and g displaces
     the base point linearly; all three are falsification checks inside the
-    stated budgets, never proofs.
+    stated budgets, never proofs.  The first two read one evaluated ball.
     """
 
     trivial_words: list[GroupElement]
@@ -528,20 +521,17 @@ def pingpong_certificate(
     """Run the three free-product consistency probes for (h, g).
 
     The group acts freely on its Cayley graph, so a pair word acts trivially
-    exactly when its image is the identity.
+    exactly when its image is the identity.  The pair words of length <= L
+    are enumerated and evaluated once, and the injectivity census and
+    :func:`check_Wj_disjoint` both read them.
     """
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    abstract = _abstract_pair(h, g)
-    aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
-    trivial = [
-        wbar
-        for wbar in aspace.enumerate_ball(abstract.identity(), L)
-        if not wbar.is_identity and _evaluate(wbar, (h, g)).is_identity
-    ]
+    ball = _pair_ball(h, g, L)
+    trivial = [w for w, x in zip(*ball) if not w.is_identity and x.is_identity]
     injectivity_ok = not trivial
 
-    disjointness = check_Wj_disjoint(h, g, J, L)
+    disjointness = check_Wj_disjoint(h, g, J, L, _ball=ball)
 
     displacement_rows, displacement_ok = _displacement(g, J, c_min)
     verdict = (

@@ -370,8 +370,12 @@ def norm_lower_bound(
 
     ``converged`` means only that the Rayleigh values stagnated below
     ``budget.residual_target``, not that the estimate is close to the norm.
-    Operators with ``sum |a_g|`` above ``2**250`` raise ValueError: for a
-    unit v, ||T* T v||^2 <= (sum |a_g|)^4 must stay below float64's range.
+    Nonzero operators with ``sum |a_g|`` above ``2**250`` or below
+    ``2**-250`` raise ValueError: for a unit v the squares of the entries of
+    T* T v scale as (sum |a_g|)^4, which the limits keep within ``2**±1000``,
+    inside float64's normal range from ``2**-1022`` to ``2**1024``; below
+    it they round to 0 and the iteration stops far under the norm.  A
+    ``start_vector`` is first scaled by a power of two, which is exact.
     """
     budget = budget or NormBudget()
     if budget.max_iterations < 1:
@@ -382,6 +386,8 @@ def norm_lower_bound(
         raise ValueError("coefficients too large for the estimator: sum |a_g| exceeds 2**250")
     if not T.coefficients:
         return _zero_estimate()
+    if not triangle_upper_bound(T) >= 2.0**-250:
+        raise ValueError("coefficients too small for the estimator: sum |a_g| below 2**-250")
 
     symbols = list(T.coefficients.items())
     union_elems, window = _window(T, space, budget)
@@ -395,6 +401,8 @@ def norm_lower_bound(
         for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
             if j >= 0:
                 v[j] = c
+        # a power of two scales exactly, and keeps the squares of _norm in range
+        v *= 2.0 ** min(-math.frexp(np.abs(v.view(np.float64)).max())[1], 1023)
         nv = _norm(v)
         if nv == 0:
             raise ValueError("start_vector support misses the explored window")

@@ -125,15 +125,23 @@ def reference_window(T, space, budget):
     return order, depth, raw_targets
 
 
+def evaluate_pair_word(word, images):
+    """Substitute ``images`` = (h, g) for the abstract generators of a pair
+    word, one syllable power and one product at a time."""
+    acc = images[0].presentation.identity()
+    for fi, e in word.syllables:
+        acc = acc * (images[fi] ** e)
+    return acc
+
+
 def reference_Wj_collisions(h, g, J, L):
     """The translate-family collisions of ``check_Wj_disjoint``, by the
     direct loop: every translated word g^j u is evaluated into the acting
     group on its own and pushed to the base point.
 
-    Returns (j, u, k, v, point, witness_abstract, witness_evaluated) tuples
-    in discovery order.
+    Returns (j, u, k, v, point, witness_abstract) tuples in discovery order.
     """
-    from actrep.dynamics import _abstract_pair, _evaluate
+    from actrep.dynamics import _abstract_pair
     from actrep.groups import first_syllable_in
     from actrep.spaces import CayleySpace
 
@@ -147,12 +155,11 @@ def reference_Wj_collisions(h, g, J, L):
     for j in range(-J, J + 1):
         gj = gbar ** j
         for u in w0:
-            point = space.apply(_evaluate(gj * u, (h, g)), space.base_point)
+            point = space.apply(evaluate_pair_word(gj * u, (h, g)), space.base_point)
             prev = seen.setdefault(point, (j, u))
             if prev[0] != j:
                 k, v = prev
-                witness = v.inverse() * (gbar ** (j - k)) * u
-                out.append((j, u, k, v, point, witness, _evaluate(witness, (h, g))))
+                out.append((j, u, k, v, point, v.inverse() * (gbar ** (j - k)) * u))
     return out
 
 
@@ -161,20 +168,19 @@ def reference_trivial_words(h, g, L, R):
     as acting trivially, by the direct scan: a nontrivial word counts when
     its image moves no point of the radius-R ball around the base point.
     """
-    from actrep.dynamics import _WORD_CAP, _abstract_pair, _evaluate
+    from actrep.dynamics import _WORD_CAP, _abstract_pair
     from actrep.spaces import CayleySpace
 
     space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
     aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
     ball = space.enumerate_ball(space.base_point, R)
-    images = (h, g)
 
     trivial = []
     for wbar in aspace.enumerate_ball(abstract.identity(), L):
         if wbar.is_identity:
             continue
-        w = _evaluate(wbar, images)
+        w = evaluate_pair_word(wbar, (h, g))
         if not any(space.apply(w, x) != x for x in ball):
             trivial.append(wbar)
     return trivial

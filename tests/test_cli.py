@@ -512,15 +512,19 @@ def test_config_errors_name_the_config_file(tmp_path, capsys):
         ("panalytic", "budgets.J_max = 0", "J_max must be >= 1"),
         ("average", "budgets.J_list = 0, 2", "J must be >= 1"),
         ("pingpong", "budgets.R = -1", "radius must be >= 0"),
+        ("average", "budgets.C = -1", "C must be positive"),
+        ("ideal", "budgets.C = 0", "C must be positive"),
     ],
 )
 def test_out_of_range_budgets_exit_3_naming_the_config_file(
     tmp_path, capsys, experiment, line, message
 ):
-    # the estimator and the engines check these ranges, below the config loader
+    # the estimator and the engines check these ranges, below the config loader;
+    # an envelope of C <= 0 would falsify every averaging row
     base = {
         "panalytic": TORSION_CFG,
         "average": STARVED_AVERAGE_CFG,
+        "ideal": STARVED_IDEAL_CFG,
         "pingpong": (GOLDEN / "pingpong_pass.cfg").read_text(),
     }[experiment]
     cfg = write_config(tmp_path, base + line + "\n")
@@ -556,6 +560,19 @@ def test_huge_coefficients_exit_3(tmp_path, capsys):
     assert main(["norm", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: {cfg}: coefficients too large for the estimator: sum |a_g| exceeds 2**250\n"
+    assert not out.exists()
+
+
+def test_tiny_coefficients_exit_3(tmp_path, capsys):
+    # the iteration's squares would underflow and stop it at a bound near 0
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\npresentation.names = a, b\n"
+        "operator.T = 1e-170*a; 1e-170*b\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main(["norm", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: coefficients too small for the estimator: sum |a_g| below 2**-250\n"
     assert not out.exists()
 
 

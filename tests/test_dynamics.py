@@ -29,10 +29,17 @@ from actrep.dynamics import (
     pingpong_certificate,
     tracial_property_check,
     verify_panalytic,
+    _abstract_pair,
+    _pair_ball,
 )
 from actrep.spaces import CayleySpace
 
-from oracles import dense_compression_norm, reference_trivial_words, reference_Wj_collisions
+from oracles import (
+    dense_compression_norm,
+    evaluate_pair_word,
+    reference_trivial_words,
+    reference_Wj_collisions,
+)
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -45,6 +52,10 @@ Z3Z = free_product([3, INFINITE], names=("h", "g"))
 H, G = Z3Z.generators()
 
 LIGHT = NormBudget(max_iterations=60, support_cap=6000)
+
+#: (h, g) pairs for the free-product probes: free, free on other generators,
+#: degenerate, a relation of length 4 and one of length 6, and Z/3 * Z.
+PAIRS = [(A, B), (A * B, B), (A, A), (T23, S * T23), (T23, (S * T23) ** 2), (H, G)]
 
 
 def random_operator(rng, presentation, n_terms, max_len):
@@ -478,27 +489,23 @@ def test_wj_disjoint_torsion_case():
 def test_wj_degenerate_pair_collides():
     rep = check_Wj_disjoint(A, A, 5, 6)
     assert not rep.disjoint
-    space = CayleySpace(F2)
     for c in rep.collisions[:20]:
         assert c.j != c.k
         assert not c.witness_abstract.is_identity
         # the witness stabilizes the base point: in a free action it must be e
-        assert space.apply(c.witness_evaluated, rep.x_i) == rep.x_i
-        assert c.witness_evaluated == E
+        assert evaluate_pair_word(c.witness_abstract, (A, A)) == E
 
 
 def test_wj_collisions_match_direct_evaluation():
     # each W_0 word is evaluated once and then translated; the direct loop
     # evaluates every translated word on its own
-    pairs = [(A, B), (A * B, B), (A, A), (H, G), (T23, S * T23), (T23, (S * T23) ** 2)]
     total = 0
-    for h, g in pairs:
+    for h, g in PAIRS:
         rep = check_Wj_disjoint(h, g, 5, 6)
-        got = [
-            (c.j, c.u, c.k, c.v, c.point, c.witness_abstract, c.witness_evaluated)
-            for c in rep.collisions
-        ]
+        got = [(c.j, c.u, c.k, c.v, c.point, c.witness_abstract) for c in rep.collisions]
         assert got == reference_Wj_collisions(h, g, 5, 6)
+        for c in rep.collisions:
+            assert evaluate_pair_word(c.witness_abstract, (h, g)).is_identity
         total += len(got)
     assert total > 0
 
@@ -541,7 +548,7 @@ def test_pingpong_relation_caught_by_disjointness():
     assert rep.injectivity_ok
     assert not rep.disjointness.disjoint
     c = rep.disjointness.collisions[0]
-    assert c.witness_evaluated.is_identity
+    assert evaluate_pair_word(c.witness_abstract, (T23, (S * T23) ** 2)).is_identity
 
 
 def test_pingpong_displacement_is_word_length_of_powers():
@@ -554,11 +561,34 @@ def test_pingpong_displacement_is_word_length_of_powers():
 def test_pingpong_trivial_words_match_ball_scan():
     # the action is free, so a word fixes the radius-R ball exactly when it
     # evaluates to the identity; at R = 0 the ball is the base point alone
-    pairs = [(A, B), (A * B, B), (A, A), (T23, S * T23), (T23, (S * T23) ** 2), (H, G)]
     found = 0
-    for h, g in pairs:
+    for h, g in PAIRS:
         got = pingpong_certificate(h, g, 5, 2).trivial_words
         for R in (0, 3):
             assert got == reference_trivial_words(h, g, 5, R), (h, g, R)
         found += len(got)
     assert found > 0
+
+
+def test_pair_ball_images_match_direct_evaluation():
+    # each image is its prefix's image times one syllable power; the oracle
+    # substitutes every syllable of every word afresh
+    for h, g in PAIRS:
+        words, images = _pair_ball(h, g, 6)
+        abstract = _abstract_pair(h, g)
+        assert words == CayleySpace(abstract).enumerate_ball(abstract.identity(), 6)
+        assert images == [evaluate_pair_word(w, (h, g)) for w in words], (h, g)
+
+
+def test_pingpong_enumerates_the_pair_ball_once(monkeypatch):
+    calls = []
+    enumerate_ball = CayleySpace.enumerate_ball
+
+    def counted(self, center, radius):
+        calls.append(radius)
+        return enumerate_ball(self, center, radius)
+
+    monkeypatch.setattr(CayleySpace, "enumerate_ball", counted)
+    rep = pingpong_certificate(T23, (S * T23) ** 2, 5, 6)
+    assert calls == [5]
+    assert not rep.disjointness.disjoint  # the translate check read that ball

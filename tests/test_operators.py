@@ -283,6 +283,34 @@ def test_norm_lower_bound_rejects_coefficients_that_would_overflow():
             norm_lower_bound(FormalOperator(F2, {A: c, B: c}), SPACE)
 
 
+def test_norm_lower_bound_rejects_coefficients_that_would_underflow():
+    # at sum |a_g| = 2**-250 the iteration runs as it does at sum 2**-200
+    budget = NormBudget(max_iterations=20, support_cap=500)
+    s = 2.0**-251
+    est = norm_lower_bound(FormalOperator(F2, {A: s, B: s}), SPACE, budget)
+    ref = norm_lower_bound(FormalOperator(F2, {A: 2.0**-201, B: 2.0**-201}), SPACE, budget)
+    assert est.lower_bound == ref.lower_bound * 2.0**-50
+    assert est.iterations == ref.iterations
+    assert s < est.lower_bound <= 2 * s  # the exact norm is 2s (two free unitaries)
+    for c in (s * (1 - 2.0**-53), 1e-170):
+        with pytest.raises(ValueError, match="coefficients too small"):
+            norm_lower_bound(FormalOperator(F2, {A: c, B: c}), SPACE)
+    assert norm_lower_bound(FormalOperator(F2, {}), SPACE).lower_bound == 0.0
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 2.0**-1074])
+def test_norm_lower_bound_start_vector_scale_is_exact(scale):
+    # the start is scaled by a power of two before _norm squares its entries
+    T = FormalOperator(F2, {A: 1.0, B: 0.5, A * B: 0.25})
+    budget = NormBudget(max_iterations=20, support_cap=500)
+
+    def estimate(c):
+        start = StateVector(SPACE, {E: c})
+        return norm_lower_bound(T, SPACE, replace(budget, start_vector=start)).lower_bound
+
+    assert estimate(scale).hex() == estimate(1.0).hex()
+
+
 def test_norm_lower_bound_start_vector():
     T = FormalOperator(F2, {B: 1.0})
     start = StateVector(SPACE, {E: 0.5, B: 0.5})
