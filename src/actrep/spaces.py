@@ -102,6 +102,9 @@ class CayleySpace:
 #: grows; block sizes follow from it, the symbol count and the row width.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: (point, symbol) pairs whose images one block of a lookup fingerprints.
+_BLOCK_PAIRS = 1 << 14
+
 #: Symbol target of a point whose images have not been looked up yet.
 _UNRESOLVED = -2
 
@@ -111,28 +114,48 @@ _OVERFLOW = "syllable exponents too large for the integer window"
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+#: Base of the polynomial word hash, odd so that it is invertible mod 2**64.
+_B = 0x9E3779B97F4A7C15
+_B_INV = pow(_B, -1, 1 << 64)
+
+
+def _powers(n: int, base: int = _B) -> np.ndarray:
+    """``base ** i`` mod 2**64 for i = 0 .. n-1, as uint64."""
+    pw = np.full(n, base, dtype=np.uint64)
+    pw[:1] = 1
+    return np.multiply.accumulate(pw)
+
+
+def _hash(rows: np.ndarray) -> np.ndarray:
+    """Polynomial hash H(w) = sum c_i B**i mod 2**64 of each row of syllable codes.
+
+    The codes are read as uint64.  Zero padding contributes nothing, so H does
+    not depend on the row width, and H composes across concatenation:
+    H(u v) = H(u) + B**len(u) H(v), which :meth:`CayleyWindow._compose` uses.
+    """
+    return (rows.view(np.uint64) * _powers(rows.shape[-1])).sum(axis=-1, dtype=np.uint64)
+
+
+def _prefix_hashes(rows: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is H of the first j codes of row i, for j below the row width."""
+    out = np.zeros(rows.shape, dtype=np.uint64)
+    terms = rows.view(np.uint64) * _powers(rows.shape[-1])
+    np.cumsum(terms[:, :-1], axis=1, dtype=np.uint64, out=out[:, 1:])
+    return out
+
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser on a uint64 array; it maps 0 to 0."""
+    """The one finaliser that turns hashes into fingerprints: splitmix64 on a
+    uint64 array, which maps 0 to 0.
+
+    Stored and composed fingerprints both pass through it.  A fingerprint
+    only proposes candidates: every match is confirmed by comparing rows.
+    """
     x = x ^ (x >> np.uint64(30))
     x = x * _MIX1
     x = x ^ (x >> np.uint64(27))
     x = x * _MIX2
     return x ^ (x >> np.uint64(31))
-
-
-def _fingerprint(rows: np.ndarray) -> np.ndarray:
-    """64-bit fingerprint of each row of syllable codes.
-
-    Zero padding contributes nothing, so a word's fingerprint does not depend
-    on the row width.  A fingerprint only proposes candidates: every match is
-    confirmed by comparing rows.
-    """
-    keys = _mix(np.arange(1, rows.shape[-1] + 1, dtype=np.uint64)) | np.uint64(1)
-    x = rows.view(np.uint64) * keys
-    x ^= x >> np.uint64(32)
-    x *= _MIX2
-    return _mix(x.sum(axis=-1, dtype=np.uint64))
 
 
 def _rows_equal(a: np.ndarray, alen: np.ndarray, b: np.ndarray, blen: np.ndarray) -> np.ndarray:
@@ -180,14 +203,22 @@ class CayleyWindow:
     points.  A reduced word is a row of int64 syllable codes
     ``exponent * rank + factor`` (never 0), zero-padded to the store width,
     which always keeps at least one zero column.  Points get consecutive ids
-    in the order they join.  Identity is exact: a 64-bit fingerprint proposes
-    a stored point, which counts only when its row equals the query's; a
-    fingerprint shared by several stored points makes the query be compared
-    with each of them.  ``symbols`` are the group elements the window is
-    acted on by, addressed by their position.  The window starts as the
+    in the order they join.  ``symbols`` are the group elements the window
+    is acted on by, addressed by their position.  The window starts as the
     identity alone, with id 0, and :meth:`close` grows it until it is full;
     from then on the images of a point under the symbols are resolved the
     first time :meth:`targets` is asked for them.
+
+    Identity is exact.  A word's fingerprint is its polynomial hash
+    (:func:`_hash`) passed through :func:`_mix`; a fingerprint proposes a
+    stored point, which counts only when its row equals the query's, and a
+    fingerprint shared by several stored points makes the query be compared
+    with each of them.  Every point keeps its hash and the window keeps the
+    prefix hashes of its symbols, so :meth:`_compose` forms the hash of an
+    image s x without building its row.  :meth:`close` builds the rows of
+    every image, since most of them join the window; :meth:`targets` and
+    :meth:`images` build rows only for the images whose fingerprint matches
+    a stored point or an earlier image.
     """
 
     def __init__(self, presentation: FreeProductPresentation, symbols: Sequence[GroupElement]):
@@ -196,10 +227,15 @@ class CayleyWindow:
         self._orders = np.asarray(presentation.factor_orders, dtype=np.int64)
         self._sym, self._sym_len = self._pack([self._encode(g) for g in symbols])
         self._sym_inv, _ = self._pack([self._encode(g.inverse()) for g in symbols])
+        self._sym_prefix = _prefix_hashes(self._sym)
+        self._inv_prefix = _prefix_hashes(self._sym_inv)
+        self._pow = _powers(self._sym.shape[1])
+        self._pow_inv = _powers(self._sym.shape[1], _B_INV)
         self._rows, self._len = self._pack([[]])  # the identity, an empty word
+        self._hx = _hash(self._rows)
         self._depth = np.zeros(1, dtype=np.int64)
         self.size = 1
-        self._index_fp = _fingerprint(self._rows)
+        self._index_fp = _mix(self._hx)
         self._index_id = np.zeros(1, dtype=np.int64)
 
     # -- encoding --------------------------------------------------------
@@ -240,12 +276,18 @@ class CayleyWindow:
         mine = [i for i, x in enumerate(points) if x.presentation == self.presentation]
         if mine:
             rows, lens = self._pack([self._encode(points[i]) for i in mine])
-            ids[mine] = self._find(rows, lens, _fingerprint(rows))
+            ids[mine] = self._find(_mix(_hash(rows)), lambda idx: (rows[idx], lens[idx]))
         return ids
 
     # -- identity --------------------------------------------------------
 
-    def _find(self, rows: np.ndarray, lens: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    def _find(self, fp: np.ndarray, rows_of) -> np.ndarray:
+        """Ids of the words with fingerprints ``fp``, or -1 where they are not stored.
+
+        ``rows_of(idx)`` returns the rows and lengths of the words ``idx``; it
+        is asked only for words whose fingerprint is stored, a block of
+        :meth:`_pair_step` words at a time.
+        """
         index = self._index_fp
         order = np.argsort(fp)  # sorted needles make the binary searches cache-friendly
         lo = np.empty(len(fp), dtype=np.int64)
@@ -254,13 +296,17 @@ class CayleyWindow:
         shared = hit & (index[np.minimum(lo + 1, len(index) - 1)] == fp) & (lo + 1 < len(index))
         ids = np.full(len(fp), -1, dtype=np.int64)
         one = np.nonzero(hit & ~shared)[0]
-        cand = self._index_id[lo[one]]
-        match = _rows_equal(rows[one], lens[one], self._rows[cand], self._len[cand])
-        ids[one[match]] = cand[match]
+        step = self._pair_step()
+        for i in range(0, len(one), step):
+            idx = one[i : i + step]
+            cand = self._index_id[lo[idx]]
+            match = _rows_equal(*rows_of(idx), self._rows[cand], self._len[cand])
+            ids[idx[match]] = cand[match]
         for q in np.nonzero(shared)[0].tolist():
             hi = np.searchsorted(index, fp[q], side="right")
             cands = self._index_id[lo[q] : hi]
-            match = np.nonzero(_rows_equal(rows[q], lens[q], self._rows[cands], self._len[cands]))[0]
+            rows, lens = rows_of(np.array([q]))
+            match = np.nonzero(_rows_equal(rows, lens, self._rows[cands], self._len[cands]))[0]
             if match.size:
                 ids[q] = cands[match[0]]
         return ids
@@ -270,8 +316,9 @@ class CayleyWindow:
     ) -> np.ndarray:
         """Ids of the given words; absent ones join in first-occurrence order
         while there is room, and the rest get -1."""
-        fp = _fingerprint(rows)
-        ids = self._find(rows, lens, fp)
+        h = _hash(rows)
+        fp = _mix(h)
+        ids = self._find(fp, lambda idx: (rows[idx], lens[idx]))
         new = np.nonzero(ids < 0)[0]
         if new.size and room > 0:
             first, group = _group(fp[new], lambda idx: (rows[new[idx]], lens[new[idx]]), len(new))
@@ -280,13 +327,14 @@ class CayleyWindow:
             fresh[:take] = self.size + np.arange(take)
             ids[new] = fresh[group]
             keep = new[first[:take]]
-            self._append(rows[keep], lens[keep], fp[keep], depth, self.size + room)
+            self._append(rows[keep], lens[keep], h[keep], fp[keep], depth, self.size + room)
         return ids
 
     def _append(
-        self, rows: np.ndarray, lens: np.ndarray, fp: np.ndarray, depth: int, limit: int
+        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, fp: np.ndarray, depth: int, limit: int
     ) -> None:
-        """Store new points; the store never reserves room past ``limit`` points."""
+        """Store new points with their hashes ``h`` and fingerprints ``fp``;
+        the store never reserves room past ``limit`` points."""
         n, k = self.size, len(lens)
         width = max(self._rows.shape[1], int(lens.max()) + 1)
         if n + k > len(self._rows) or width > self._rows.shape[1]:
@@ -297,10 +345,12 @@ class CayleyWindow:
             grown[:n, : self._rows.shape[1]] = self._rows[:n]
             self._rows = grown
             self._len = np.resize(self._len, capacity)
+            self._hx = np.resize(self._hx, capacity)
             self._depth = np.resize(self._depth, capacity)
         w = min(width, rows.shape[1])
         self._rows[n : n + k, :w] = rows[:, :w]
         self._len[n : n + k] = lens
+        self._hx[n : n + k] = h
         self._depth[n : n + k] = depth
         self.size = n + k
         order = np.argsort(fp, kind="stable")
@@ -309,6 +359,15 @@ class CayleyWindow:
         self._index_id = np.insert(self._index_id, at, n + order)
 
     # -- the action ------------------------------------------------------
+
+    def _merged(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Codes of the syllables that merge codes ``a`` and ``b`` of one factor."""
+        R = self._rank
+        f = a % R
+        e = a // R + b // R
+        order = self._orders[f]
+        e = np.where(order > 0, e % np.maximum(order, 1), e)
+        return e * R + f
 
     def _act(self, X: np.ndarray, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and lengths of symbol ``u[i, j]`` applied to the word in row ``X[i]``.
@@ -340,12 +399,61 @@ class CayleyWindow:
         np.copyto(out, self._sym[u[..., None], np.minimum(col, M - 1)], where=col < p[..., None])
         i, j = np.nonzero(merge)
         if i.size:
-            f = a[i, j] % R
-            e = a[i, j] // R + b[i, j] // R
-            order = self._orders[f]
-            e = np.where(order > 0, e % np.maximum(order, 1), e)
-            out[i, j, p[i, j]] = e * R + f
+            out[i, j, p[i, j]] = self._merged(a[i, j], b[i, j])
         return out, lens
+
+    def _pair_rows(self, ids: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and lengths of symbol ``u[i]`` applied to point ``ids[i]``."""
+        rows, lens = self._act(self._rows[ids], self._len[ids], u[:, None])
+        return rows[:, 0], lens[:, 0]
+
+    def _pair_step(self) -> int:
+        """(point, symbol) pairs per block of :meth:`_pair_rows`."""
+        return max(1, _BLOCK_ELEMENTS // (self._rows.shape[1] + self._sym.shape[1]))
+
+    def _compose(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Hashes H(s x) of symbol s = ``u[i]`` applied to point x = ``ids[i]``,
+        formed from the stored hashes without building the rows.
+
+        s x cancels the first k syllables of x against the last k of s, and
+        merges the next syllable of each into one when they share a factor
+        (``merge`` is 1); it keeps the first p = m - k - merge syllables of
+        s, which are followed by the merged syllable and by x past its first
+        k + merge syllables.  So, with x[:j] the first j syllables of x,
+
+            H(s x) = H(s[:p]) + merged B**p
+                     + (H(x) - H(x[:k+merge])) B**-(k+merge) B**(p+merge).
+
+        x[:k] is the first k syllables of s**-1, so every term but H(x) and
+        the merged syllable comes from the symbols' prefix hashes.  k is found
+        by comparing column after column the pairs that still cancel, so the
+        work per pair is constant plus its cancelled columns.
+        """
+        X = self._rows
+        n = self._len[ids]
+        m = self._sym_len[u]
+        k = np.zeros(len(ids), dtype=np.int64)
+        live = np.arange(len(ids))
+        col = 0
+        while live.size:
+            live = live[(col < m[live]) & (X[ids[live], col] == self._sym_inv[u[live], col])]
+            col += 1
+            k[live] = col
+        a = self._sym[u, np.maximum(m - 1 - k, 0)]
+        b = X[ids, k]
+        R = self._rank
+        merge = (k < m) & (k < n) & (a % R == b % R)
+        p = m - k - merge
+        code = np.zeros(len(ids), dtype=np.int64)  # the merged syllable, 0 where none
+        cut = np.zeros(len(ids), dtype=np.int64)  # the syllable of x it absorbs
+        i = np.nonzero(merge)[0]
+        if i.size:
+            code[i] = self._merged(a[i], b[i])
+            cut[i] = b[i]
+        head = self._sym_prefix[u, p] + code.view(np.uint64) * self._pow[p]
+        drop = self._inv_prefix[u, k] + cut.view(np.uint64) * self._pow[k]
+        shift = self._pow_inv[k + merge] * self._pow[p + merge]
+        return head + (self._hx[ids] - drop) * shift
 
     def close(self, max_depth: int, cap: int) -> None:
         """Grow the window breadth-first until no point can join.
@@ -403,14 +511,19 @@ class CayleyWindow:
         resolved the first time they are asked for and kept: the window is
         full, so its points and ids are final and each image is only looked
         up, giving the same ids as expanding the point during the closure.
+        The lookup composes each image's fingerprint and builds the rows of
+        only the images whose fingerprint is stored.
         """
         rows = self._targets[ids]
         todo = ids[rows[:, 0] == _UNRESOLVED]
         if todo.size:
-            step = self._step()
+            U = len(self._sym)
+            step = max(1, _BLOCK_PAIRS // U)
             for i in range(0, len(todo), step):
                 block = todo[i : i + step]
-                self._targets[block] = self._expand(block, 0, 0)
+                pid, u = np.repeat(block, U), np.tile(np.arange(U), len(block))
+                found = self._find(_mix(self._compose(pid, u)), lambda idx: self._pair_rows(pid[idx], u[idx]))
+                self._targets[block] = found.reshape(-1, U)
             rows = self._targets[ids]
         return rows
 
@@ -431,18 +544,14 @@ class CayleyWindow:
 
     def _label(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Labels 0, 1, ... of the images of symbol ``u[i]`` applied to point
-        ``ids[i]``, equal exactly when the images are equal."""
-        step = max(1, _BLOCK_ELEMENTS // (self._rows.shape[1] + self._sym.shape[1]))
-
-        def rows_of(idx):
-            rows, lens = self._act(self._rows[ids[idx]], self._len[ids[idx]], u[idx, None])
-            return rows[:, 0], lens[:, 0]
-
+        ``ids[i]``, equal exactly when the images are equal.  Fingerprints are
+        composed a block of pairs at a time; rows are built only for images
+        whose fingerprint an earlier image shares."""
         fp = np.concatenate([
-            _fingerprint(rows_of(np.arange(i, min(i + step, len(ids))))[0])
-            for i in range(0, len(ids), step)
+            _mix(self._compose(ids[i : i + _BLOCK_PAIRS], u[i : i + _BLOCK_PAIRS]))
+            for i in range(0, len(ids), _BLOCK_PAIRS)
         ])
-        return _group(fp, rows_of, step)[1]
+        return _group(fp, lambda idx: self._pair_rows(ids[idx], u[idx]), self._pair_step())[1]
 
 
 @dataclass

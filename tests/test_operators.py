@@ -363,6 +363,51 @@ def test_window_matches_reference_closure():
     assert cases == 45
 
 
+def _assert_composed_hashes_match_rows(window):
+    """_compose equals _hash of the row _act builds, for every (point, symbol)
+    pair of the window; returns each pair's cancelled and merged syllables."""
+    U = len(window._sym)
+    ids, u = np.repeat(np.arange(window.size), U), np.tile(np.arange(U), window.size)
+    rows, lens = window._pair_rows(ids, u)
+    assert np.array_equal(window._compose(ids, u), spaces._hash(rows))
+    dropped = window._sym_len[u] + window._len[ids] - lens  # 2k + merge
+    return dropped // 2, dropped % 2
+
+
+def test_composed_hash_equals_hash_of_built_row():
+    from actrep.groups import reduce
+
+    merges = {}
+    for T, space, budget in _window_cases():
+        _, window = operators._window(T, CayleySpace(space.presentation), budget)
+        assert not window._sym_len.all()  # the identity symbol, m = 0
+        _, merged = _assert_composed_hashes_match_rows(window)
+        merges[space] = merges.get(space, 0) + merged.sum()
+    assert merges[S23] and merges[S34]
+    # exponents near 2**59, whose merges wrap the hash but not the codes
+    T = FormalOperator(F2, {reduce(F2, [(0, 1 << 58)]): 0.5, B: 0.5j})
+    _, window = operators._window(T, CayleySpace(F2), NormBudget(max_iterations=2, support_cap=50))
+    assert _assert_composed_hashes_match_rows(window)[1].any()
+
+
+def test_long_conjugates_window_matches_reference_closure():
+    # the ideal sweep's last operator: conjugates of a and b by (ab)^j, of up
+    # to 69 letters, which cancel up to their whole length against points
+    g = A * B
+    conj = conjugate_sequence(g, A, 17) + conjugate_sequence(g, B, 17)
+    T = FormalOperator(F2, {E: 2.0, **{c: 1.0 / 17 for c in conj}})
+    budget = NormBudget(max_iterations=25, support_cap=1500)
+    points, depths, targets = reference_window(T, SPACE, budget)
+    union, window = operators._window(T, CayleySpace(F2), budget)
+    assert window.points(range(window.size)) == points
+    assert window.depth.tolist() == depths
+    got = window.targets(np.arange(window.size))
+    for u, h in enumerate(union):
+        assert got[:, u].tolist() == targets[h]
+    cancelled, _ = _assert_composed_hashes_match_rows(window)
+    assert cancelled.max() == window._sym_len.max() == 69
+
+
 def test_targets_resolved_on_demand_equal_the_whole_table():
     # rows resolved in a random order and in small chunks equal the rows
     # resolved all at once, and the dict-based closure's targets
@@ -430,7 +475,8 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch):
     union, window = operators._window(T, CayleySpace(F2), budget)
     targets = window.targets(np.arange(window.size))
     est = norm_lower_bound(T, CayleySpace(F2), budget)
-    monkeypatch.setattr(spaces, "_fingerprint", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    # stored and composed fingerprints both pass through _mix
+    monkeypatch.setattr(spaces, "_mix", lambda h: np.zeros(len(h), dtype=np.uint64))
     union2, window2 = operators._window(T, CayleySpace(F2), budget)
     targets2 = window2.targets(np.arange(window2.size))
     assert window2.points(range(window2.size)) == window.points(range(window.size))
