@@ -10,6 +10,7 @@ FALSIFIED (serializing the falsifying witness vector alongside the CSV),
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ from .operators import (
     StateVector,
     triangle_upper_bound,
 )
-from .spaces import FALSIFIED, PASS, BudgetExceededError, CayleySpace, orbit_decompose
+from .spaces import FALSIFIED, INCONCLUSIVE, PASS, BudgetExceededError, CayleySpace, orbit_decompose
 from .dynamics import (
     DEFAULT_SLACK,
     EnvelopeReport,
@@ -103,8 +104,9 @@ def parse_word(text: str, presentation: FreeProductPresentation) -> GroupElement
 def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOperator:
     """Parse ``coeff*word; coeff*word; ...`` into a formal operator.
 
-    Coefficients accept anything ``complex()`` does ("2", "-0.5", "1+2j");
-    a bare word means coefficient 1.
+    Coefficients accept any finite value ``complex()`` does ("2", "-0.5",
+    "1+2j"); "nan", "inf" and "1e400" raise ConfigError.  A bare word means
+    coefficient 1.
     """
     terms: list[tuple[complex, GroupElement]] = []
     for chunk in text.split(";"):
@@ -117,6 +119,9 @@ def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOp
                 coeff = complex(coeff_text.strip().replace(" ", ""))
             except ValueError:
                 raise WordParseError(f"malformed coefficient {coeff_text!r}") from None
+            if not cmath.isfinite(coeff):
+                # NaN compares false, so a NaN coefficient would fake a violation
+                raise ConfigError(f"non-finite coefficient {coeff_text.strip()!r}")
         else:
             coeff, word_text = 1.0, chunk
         terms.append((coeff, parse_word(word_text.strip(), presentation)))
@@ -414,12 +419,18 @@ def run_norm(config: ExperimentConfig, seed: int | None, slack: float) -> Experi
 def run_trace(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     value = canonical_trace(T)
-    ok = True
+    verdict = PASS
     summary = [f"trace: coefficient at identity = {value}"]
     if "S" in config.operators:
-        ok = tracial_property_check(config.operator("S"), T)
-        summary.append(f"tracial property (with operator S): {'holds' if ok else 'VIOLATED'}")
-    verdict = PASS if ok else FALSIFIED
+        S = config.operator("S")
+        try:
+            holds = tracial_property_check(S, T)
+        except OverflowError as exc:
+            # finite inputs whose products leave float64 decide nothing
+            verdict, status = INCONCLUSIVE, f"INCONCLUSIVE ({exc})"
+        else:
+            verdict, status = (PASS, "holds") if holds else (FALSIFIED, "VIOLATED")
+        summary.append(f"tracial property (with operator S): {status}")
     rows = [(0, 0.0, value.real, value.imag, len(T), True, verdict)]
     return ExperimentResult(rows, verdict, summary)
 

@@ -15,6 +15,7 @@ while staying below it is consistency within budgets, never a proof.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .operators import (
     FormalOperator,
     NormBudget,
     NormEstimate,
+    _fsum_complex,
     norm_lower_bound,
 )
 from .spaces import FALSIFIED, INCONCLUSIVE, PASS, CayleySpace, Point
@@ -131,18 +133,32 @@ def canonical_trace(T: FormalOperator) -> complex:
     return T.identity_coefficient
 
 
-def tracial_property_check(S: FormalOperator, T: FormalOperator) -> bool:
-    """Exact symbolic check of trace(ST) = trace(TS) and trace(S*S) >= 0.
+def _trace_of_product(A: FormalOperator, B: FormalOperator) -> complex:
+    """canonical_trace(A * B), read as sum_g a_g b_{g^-1} without forming A * B.
 
-    Both products are formed in the group algebra with exactly rounded
-    coefficient sums, so the equalities hold bit-for-bit when they hold
-    mathematically.
+    The terms are exactly those of the identity bucket of A * B and fsum does
+    not depend on their order, so the two agree bit for bit.  Raises
+    OverflowError when a term is not finite.
     """
-    st = canonical_trace(S * T)
-    ts = canonical_trace(T * S)
-    if st != ts:
+    A._check(B)
+    get = B.coefficients.get
+    parts = [a * b for g, a in A.coefficients.items() if (b := get(g.inverse())) is not None]
+    if not all(cmath.isfinite(p) for p in parts):
+        raise OverflowError("a coefficient product overflowed")
+    return _fsum_complex(parts)
+
+
+def tracial_property_check(S: FormalOperator, T: FormalOperator) -> bool:
+    """Exact check of trace(ST) = trace(TS) and trace(S*S) >= 0 by pairing terms.
+
+    Each trace is the exactly rounded sum of a_g b_{g^-1}; no product is
+    formed.  With finite products the equality holds bit for bit, and
+    trace(S*S) is a sum of |a_g|^2 with an exactly zero imaginary part.
+    Raises OverflowError when a paired product is not finite.
+    """
+    if _trace_of_product(S, T) != _trace_of_product(T, S):
         return False
-    positivity = canonical_trace(S.adjoint() * S)
+    positivity = _trace_of_product(S.adjoint(), S)
     return positivity.imag == 0.0 and positivity.real >= 0.0
 
 

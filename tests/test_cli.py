@@ -563,6 +563,20 @@ def test_huge_coefficients_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coeff", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("experiment", ["trace", "norm"])
+def test_non_finite_coefficients_exit_3(tmp_path, capsys, experiment, coeff):
+    # NaN compares false, so trace would report a violation that is not there
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\npresentation.names = a, b\n"
+        f"operator.T = {coeff}*a; 1*e\noperator.S = 1*a^-1\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: non-finite coefficient {coeff!r}\n"
+    assert not out.exists()
+
+
 def test_tiny_coefficients_exit_3(tmp_path, capsys):
     # the iteration's squares would underflow and stop it at a bound near 0
     cfg = write_config(

@@ -9,6 +9,7 @@ from actrep import cli, spaces
 from actrep.groups import (
     INFINITE,
     DegenerateInputError,
+    PresentationMismatchError,
     free_group,
     free_product,
 )
@@ -31,6 +32,7 @@ from actrep.dynamics import (
     verify_panalytic,
     _abstract_pair,
     _pair_ball,
+    _trace_of_product,
 )
 from actrep.spaces import CayleySpace
 
@@ -189,6 +191,54 @@ def test_tracial_property_random():
             s = random_operator(rng, pres, 5, 4)
             t = random_operator(rng, pres, 5, 4)
             assert tracial_property_check(s, t)
+
+
+def _with_inverses(rng, op):
+    """op plus random weights on the inverses of its support, so that many
+    products of such operators land on the identity."""
+    extra = {g.inverse(): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in op.coefficients}
+    return op + FormalOperator(op.presentation, extra)
+
+
+def test_trace_of_product_equals_full_product_bit_for_bit():
+    # random_operator draws exponents -1 and -2, whose syllables hash alike,
+    # so the pairing's dictionary lookups must resolve collisions exactly
+    rng = random.Random(14)
+    landed = 0
+    for pres in (F2, Z2Z3):
+        for k in range(150):
+            s = random_operator(rng, pres, 6, 3)
+            t = random_operator(rng, pres, 6, 3)
+            if k % 2:
+                s, t = _with_inverses(rng, s), _with_inverses(rng, t)
+            for left, right in ((s, t), (t, s), (s.adjoint(), s)):
+                fast, full = _trace_of_product(left, right), canonical_trace(left * right)
+                assert (fast.real.hex(), fast.imag.hex()) == (full.real.hex(), full.imag.hex())
+                landed += full != 0
+    assert landed > 600  # most of the 900 traces have terms to pair
+
+
+def test_tracial_property_rejects_mixed_presentations():
+    XY = free_group(2, names=("x", "y"))
+    x, _ = XY.generators()
+    # no term pairs across presentations, so unchecked both traces would read 0
+    s = FormalOperator(F2, {A: 1.0})
+    t = FormalOperator(XY, {x.inverse(): 1.0})
+    with pytest.raises(PresentationMismatchError):
+        tracial_property_check(s, t)
+    with pytest.raises(PresentationMismatchError):
+        tracial_property_check(t, s)
+
+
+def test_tracial_property_overflow_raises():
+    # (1e200 + 1e200j)**2 has real part inf - inf = nan
+    c = 1e200 + 1e200j
+    s = FormalOperator(F2, {A.inverse(): c})
+    t = FormalOperator(F2, {A: c})
+    with pytest.raises(OverflowError):
+        tracial_property_check(s, t)
+    with pytest.raises(OverflowError):  # |c|**2 overflows in trace(S*S)
+        tracial_property_check(s, FormalOperator(F2, {B: 1.0}))
 
 
 # -- finite-order blow-up ----------------------------------------------------

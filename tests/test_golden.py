@@ -19,7 +19,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 def test_golden_cases_present():
     assert CASES == [
         "blowup", "orbits", "orbits_many", "pingpong_degenerate", "pingpong_pass",
-        "trace_S", "trace_noS",
+        "trace_S", "trace_noS", "trace_overflow",
     ]
 
 
