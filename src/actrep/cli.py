@@ -4,7 +4,8 @@ Configs are flat key=value text files (one dotted key per line, ``#`` starts
 a comment).  Each run writes a fixed-schema CSV, prints a plain-text
 summary, optionally emits a small SVG chart, and exits 0 on PASS, 1 on
 FALSIFIED (serializing the falsifying witness vector alongside the CSV),
-2 on INCONCLUSIVE, 3 on configuration or usage errors.
+2 on INCONCLUSIVE, 3 on configuration or usage errors.  A run that writes a
+CSV but no witness removes the witness an earlier run left at that path.
 """
 
 from __future__ import annotations
@@ -595,10 +596,12 @@ def run(
     out = Path(out_path or config.output or f"{experiment}.csv")
 
     runner = RUNNERS[experiment]
+    wpath = out.with_suffix(".witness.json")
     try:
         result = runner(config, seed, slack)
     except BudgetExceededError as exc:
         write_csv(out, [])
+        wpath.unlink(missing_ok=True)  # an earlier run's witness would outlive its CSV
         print(f"budget overflow: {exc}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
@@ -614,10 +617,11 @@ def run(
     tpath.write_text("\n".join(summary) + "\n")
     artifacts.append(str(tpath))
     if result.witness is not None:
-        wpath = out.with_suffix(".witness.json")
         payload = _witness_payload(experiment, result.witness)
         wpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         artifacts.append(str(wpath))
+    else:
+        wpath.unlink(missing_ok=True)
     if emit_svg:
         spath = out.with_suffix(".svg")
         write_svg(spath, rows)

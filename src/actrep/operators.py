@@ -12,7 +12,7 @@ lower bound on the operator norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -243,6 +243,21 @@ class NormBudget:
     start_vector: "StateVector | None" = None
 
 
+class _WitnessWords:
+    """A witness cut from its window: the rows of syllable codes of its
+    points (:meth:`CayleyWindow.codes`), their lengths and its values.
+    It keeps no reference to the window."""
+
+    __slots__ = ("space", "rows", "lens", "values")
+
+    def __init__(self, space: CayleySpace, rows: np.ndarray, lens: np.ndarray, values: np.ndarray):
+        self.space, self.rows, self.lens, self.values = space, rows, lens, values
+
+    def decode(self) -> StateVector:
+        points = CayleyWindow.decode(self.space.presentation, self.rows, self.lens)
+        return StateVector(self.space, dict(zip(points, self.values.tolist())))
+
+
 @dataclass
 class NormEstimate:
     """A certified lower bound on an operator norm, with diagnostics.
@@ -254,6 +269,11 @@ class NormEstimate:
     iteration budget ran out; it does not say that ``lower_bound`` is close
     to the norm, since the iteration runs on a truncated window.  Hitting
     the support cap without stagnating leaves it False.
+
+    The estimator stores the witness as the window rows of its points, and
+    its group elements are built the first time ``witness`` is read; the
+    same vector is returned from then on.  ``support_size`` is its number
+    of points.
     """
 
     lower_bound: float
@@ -262,7 +282,19 @@ class NormEstimate:
     support_size: int
     radius_hint: int
     converged: bool
-    witness: StateVector | None = None
+    _witness: StateVector | _WitnessWords | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def witness(self) -> StateVector | None:
+        if isinstance(self._witness, _WitnessWords):
+            self._witness = self._witness.decode()
+        return self._witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NormEstimate):
+            return NotImplemented
+        same = all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare)
+        return same and self.witness == other.witness
 
 
 def _norm(v: np.ndarray) -> np.float64:
@@ -279,18 +311,23 @@ def _zero_estimate() -> NormEstimate:
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
     """The estimator's window: the identity closed under the symbols of T,
     then their inverses, up to depth ``2 * max_iterations + 1`` and
-    ``support_cap`` points.  Returns those symbols and the window.
+    ``support_cap`` points.  Returns those symbols and the window, whose
+    ``inverse`` gives the position of each symbol's inverse among them.
+    Each symbol of T is inverted once.
 
     The space keeps the last window it closed and hands it back while the
     symbols, in order, and both limits stay the same, with every symbol
     target resolved so far.
     """
-    union = tuple(dict.fromkeys([*T.coefficients, *(g.inverse() for g in T.coefficients)]))
+    inv = {g: g.inverse() for g in T.coefficients}
+    union = tuple(dict.fromkeys([*inv, *inv.values()]))
     max_depth = 2 * budget.max_iterations + 1
     key = (union, max_depth, budget.support_cap)
     if space._last_window is None or space._last_window[0] != key:
         space._last_window = None  # free the old window before the new one grows
-        window = CayleyWindow(space.presentation, union)
+        slot = {g: u for u, g in enumerate(union)}
+        inverse_of = {**{gi: g for g, gi in inv.items()}, **inv}
+        window = CayleyWindow(space.presentation, union, [slot[inverse_of[g]] for g in union])
         window.close(max_depth, budget.support_cap)
         space._last_window = (key, window)
     return list(union), space._last_window[1]
@@ -357,9 +394,11 @@ def norm_lower_bound(
     symbols are then looked up the first time the iterate or the
     re-certification reaches it, which gives the ids the full closure would
     and spares the window points the iteration never touches.  Group
-    elements are built only for the witness and the ``start_vector``
-    lookup.  The bound ||T w|| / ||w|| is computed on window ids, with the
-    images outside the window resolved exactly, and equals
+    elements are built only for the ``start_vector`` lookup: the estimate
+    keeps the witness as a copy of its window rows, and its group elements
+    are built the first time ``witness`` is read.  Each symbol of T is
+    inverted once.  The bound ||T w|| / ||w|| is computed on window ids,
+    with the images outside the window resolved exactly, and equals
     ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
     use :func:`op_apply` as its oracle.  Norms in the iteration are summed
     by numpy rather than BLAS, so the result does not depend on the BLAS
@@ -405,7 +444,7 @@ def norm_lower_bound(
     union_elems, window = _window(T, space, budget)
     slot = {g: u for u, g in enumerate(union_elems)}
     fwd = [(a, slot[g]) for g, a in symbols]
-    bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in symbols]
+    bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]
 
     v = np.zeros(window.size, dtype=np.complex128)
     if budget.start_vector is not None:
@@ -450,10 +489,10 @@ def norm_lower_bound(
 
     nz = np.nonzero(v)[0]
     wv = v[nz]
-    witness = StateVector(space, dict(zip(window.points(nz), wv.tolist())))
-    wn = witness.norm()
+    # the products and the exactly rounded sum of StateVector.norm
+    wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
     if wn > 0:
-        images = window.images(np.array([slot[g] for g, _ in symbols]), nz)
+        images = window.images(np.array([u for _, u in fwd]), nz)
         lower = _applied_norm([a for _, a in symbols], images, wv) / wn
     else:
         lower = 0.0
@@ -462,8 +501,8 @@ def norm_lower_bound(
         lower_bound=lower,
         iterations=iterations,
         residual=residual,
-        support_size=len(witness),
+        support_size=len(nz),
         radius_hint=radius,
         converged=converged,
-        witness=witness,
+        _witness=_WitnessWords(space, *window.codes(nz), wv),
     )

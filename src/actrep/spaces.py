@@ -105,6 +105,9 @@ _BLOCK_ELEMENTS = 1 << 16
 #: (point, symbol) pairs whose images one block of a lookup fingerprints.
 _BLOCK_PAIRS = 1 << 14
 
+#: Least share by which a window's store widens when a longer word joins it.
+_WIDTH_GROWTH = 0.25
+
 #: Symbol target of a point whose images have not been looked up yet.
 _UNRESOLVED = -2
 
@@ -207,7 +210,9 @@ class CayleyWindow:
     is acted on by, addressed by their position.  The window starts as the
     identity alone, with id 0, and :meth:`close` grows it until it is full;
     from then on the images of a point under the symbols are resolved the
-    first time :meth:`targets` is asked for them.
+    first time :meth:`targets` is asked for them.  The symbols are closed
+    under inversion: ``inverse[u]`` is the position of the inverse of symbol
+    ``u``, so no symbol is inverted here.
 
     Identity is exact.  A word's fingerprint is its polynomial hash
     (:func:`_hash`) passed through :func:`_mix`; a fingerprint proposes a
@@ -221,17 +226,24 @@ class CayleyWindow:
     a stored point or an earlier image.
     """
 
-    def __init__(self, presentation: FreeProductPresentation, symbols: Sequence[GroupElement]):
+    def __init__(
+        self,
+        presentation: FreeProductPresentation,
+        symbols: Sequence[GroupElement],
+        inverse: Sequence[int],
+    ):
         self.presentation = presentation
         self._rank = presentation.rank
         self._orders = np.asarray(presentation.factor_orders, dtype=np.int64)
         self._sym, self._sym_len = self._pack([self._encode(g) for g in symbols])
-        self._sym_inv, _ = self._pack([self._encode(g.inverse()) for g in symbols])
+        self.inverse = np.asarray(inverse, dtype=np.int64)
+        self._sym_inv = self._sym[self.inverse]
         self._sym_prefix = _prefix_hashes(self._sym)
         self._inv_prefix = _prefix_hashes(self._sym_inv)
         self._pow = _powers(self._sym.shape[1])
         self._pow_inv = _powers(self._sym.shape[1], _B_INV)
         self._rows, self._len = self._pack([[]])  # the identity, an empty word
+        self._width = 1  # columns in use: the longest stored word and a zero
         self._hx = _hash(self._rows)
         self._depth = np.zeros(1, dtype=np.int64)
         self.size = 1
@@ -256,6 +268,10 @@ class CayleyWindow:
             row[: len(c)] = c
         return rows, lens
 
+    def _words(self, ids) -> np.ndarray:
+        """Stored rows ``ids``, cut to the columns in use."""
+        return self._rows[ids, : self._width]
+
     @property
     def depth(self) -> np.ndarray:
         """Breadth-first depth of every point."""
@@ -263,11 +279,25 @@ class CayleyWindow:
 
     def points(self, ids: Sequence[int]) -> list[GroupElement]:
         """The group elements with the given ids."""
+        return self.decode(self.presentation, *self.codes(ids))
+
+    def codes(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the rows of syllable codes of the points with the given
+        ids, cut to the longest of their words, and the words' lengths."""
         ids = np.asarray(ids, dtype=np.int64)
-        R = self._rank
+        lens = self._len[ids]
+        return self._rows[ids, : int(lens.max(initial=0))], lens
+
+    @staticmethod
+    def decode(
+        presentation: FreeProductPresentation, rows: np.ndarray, lens: np.ndarray
+    ) -> list[GroupElement]:
+        """The group elements whose words are the given rows of syllable codes
+        and lengths, as a window stores them; the one decoder of points."""
+        R = presentation.rank
         return [
-            GroupElement(self.presentation, tuple((c % R, c // R) for c in row[:n]))
-            for row, n in zip(self._rows[ids].tolist(), self._len[ids].tolist())
+            GroupElement(presentation, tuple((c % R, c // R) for c in row[:n]))
+            for row, n in zip(rows.tolist(), lens.tolist())
         ]
 
     def lookup(self, points: Sequence[Point]) -> np.ndarray:
@@ -300,13 +330,13 @@ class CayleyWindow:
         for i in range(0, len(one), step):
             idx = one[i : i + step]
             cand = self._index_id[lo[idx]]
-            match = _rows_equal(*rows_of(idx), self._rows[cand], self._len[cand])
+            match = _rows_equal(*rows_of(idx), self._words(cand), self._len[cand])
             ids[idx[match]] = cand[match]
         for q in np.nonzero(shared)[0].tolist():
             hi = np.searchsorted(index, fp[q], side="right")
             cands = self._index_id[lo[q] : hi]
             rows, lens = rows_of(np.array([q]))
-            match = np.nonzero(_rows_equal(rows, lens, self._rows[cands], self._len[cands]))[0]
+            match = np.nonzero(_rows_equal(rows, lens, self._words(cands), self._len[cands]))[0]
             if match.size:
                 ids[q] = cands[match[0]]
         return ids
@@ -334,20 +364,25 @@ class CayleyWindow:
         self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, fp: np.ndarray, depth: int, limit: int
     ) -> None:
         """Store new points with their hashes ``h`` and fingerprints ``fp``;
-        the store never reserves room past ``limit`` points."""
+        the store never reserves room past ``limit`` points.  Its width grows
+        by at least a ``_WIDTH_GROWTH`` share, so a window whose longest word
+        grows at every level is copied a logarithmic number of times."""
         n, k = self.size, len(lens)
-        width = max(self._rows.shape[1], int(lens.max()) + 1)
-        if n + k > len(self._rows) or width > self._rows.shape[1]:
-            capacity = len(self._rows)
-            if n + k > capacity:
-                capacity = max(n + k, min(2 * capacity, limit))
-            grown = np.zeros((capacity, width), dtype=np.int64)
-            grown[:n, : self._rows.shape[1]] = self._rows[:n]
-            self._rows = grown
+        used = self._width
+        self._width = max(used, int(lens.max()) + 1)
+        capacity, width = self._rows.shape
+        if n + k > capacity:
+            capacity = max(n + k, min(2 * capacity, limit))
             self._len = np.resize(self._len, capacity)
             self._hx = np.resize(self._hx, capacity)
             self._depth = np.resize(self._depth, capacity)
-        w = min(width, rows.shape[1])
+        if self._width > width:
+            width = max(self._width, width + int(width * _WIDTH_GROWTH))
+        if (capacity, width) != self._rows.shape:
+            grown = np.zeros((capacity, width), dtype=np.int64)
+            grown[:n, :used] = self._rows[:n, :used]
+            self._rows = grown
+        w = min(self._width, rows.shape[1])
         self._rows[n : n + k, :w] = rows[:, :w]
         self._len[n : n + k] = lens
         self._hx[n : n + k] = h
@@ -404,12 +439,12 @@ class CayleyWindow:
 
     def _pair_rows(self, ids: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and lengths of symbol ``u[i]`` applied to point ``ids[i]``."""
-        rows, lens = self._act(self._rows[ids], self._len[ids], u[:, None])
+        rows, lens = self._act(self._words(ids), self._len[ids], u[:, None])
         return rows[:, 0], lens[:, 0]
 
     def _pair_step(self) -> int:
         """(point, symbol) pairs per block of :meth:`_pair_rows`."""
-        return max(1, _BLOCK_ELEMENTS // (self._rows.shape[1] + self._sym.shape[1]))
+        return max(1, _BLOCK_ELEMENTS // (self._width + self._sym.shape[1]))
 
     def _compose(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Hashes H(s x) of symbol s = ``u[i]`` applied to point x = ``ids[i]``,
@@ -492,14 +527,14 @@ class CayleyWindow:
 
     def _step(self) -> int:
         """Points per block of :meth:`_expand`."""
-        return max(1, _BLOCK_ELEMENTS // (len(self._sym) * (self._rows.shape[1] + self._sym.shape[1])))
+        return max(1, _BLOCK_ELEMENTS // (len(self._sym) * (self._width + self._sym.shape[1])))
 
     def _expand(self, points, room: int, depth: int) -> np.ndarray:
         """Ids of every symbol applied to the selected points, as int32 rows;
         images not in the window join it at ``depth`` while there is room,
         and the rest get -1."""
         U = len(self._sym)
-        rows, lens = self._act(self._rows[points], self._len[points], np.arange(U)[None, :])
+        rows, lens = self._act(self._words(points), self._len[points], np.arange(U)[None, :])
         ids = self._intern(rows.reshape(-1, rows.shape[-1]), lens.reshape(-1), room, depth)
         return ids.reshape(-1, U).astype(np.int32)
 

@@ -52,6 +52,18 @@ budgets.max_iterations = 40
 budgets.support_cap = 3000
 """
 
+# torsion case: the sweep ends FALSIFIED and writes a witness
+TORSION_CFG = """
+presentation.orders = 2, 3
+presentation.names = s, t
+experiment = panalytic
+elements.h = t
+elements.g = s
+budgets.J_max = 32
+budgets.max_iterations = 40
+budgets.support_cap = 3000
+"""
+
 
 def test_parse_word_examples():
     assert parse_word("e", F2).is_identity
@@ -165,19 +177,7 @@ budgets.N = 4
 
 
 def test_falsified_run_writes_witness(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        """
-presentation.orders = 2, 3
-presentation.names = s, t
-experiment = panalytic
-elements.h = t
-elements.g = s
-budgets.J_max = 32
-budgets.max_iterations = 40
-budgets.support_cap = 3000
-""",
-    )
+    cfg = write_config(tmp_path, TORSION_CFG)
     out = tmp_path / "falsify.csv"
     code = main(["panalytic", "--config", cfg, "--out", str(out)])
     assert code == EXIT_FALSIFIED
@@ -617,3 +617,27 @@ def test_budget_overflow_writes_header_only_csv(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("budget overflow: ")
     assert f"partial csv: {out}" in captured.out
     assert not out.with_suffix(".txt").exists()
+
+
+def test_run_without_witness_removes_an_earlier_one(tmp_path, monkeypatch):
+    # a FALSIFIED run's witness must not survive a later run to the same path
+    # that writes none: a PASS run, or the header-only CSV of a budget overflow
+    torsion = write_config(tmp_path, TORSION_CFG, "torsion.cfg")
+    free = write_config(tmp_path, PANALYTIC_CFG, "free.cfg")
+    out = tmp_path / "run.csv"
+    witness = out.with_suffix(".witness.json")
+    assert main(["panalytic", "--config", torsion, "--out", str(out)]) == EXIT_FALSIFIED
+    assert witness.is_file()
+    assert main(["panalytic", "--config", free, "--out", str(out)]) == EXIT_PASS
+    assert not witness.exists()
+    assert main(["panalytic", "--config", torsion, "--out", str(out)]) == EXIT_FALSIFIED
+    assert witness.is_file()
+    monkeypatch.setattr(cli, "CayleySpace", lambda pres: CayleySpace(pres, ball_cap=5))
+    orbits = write_config(
+        tmp_path,
+        "presentation.orders = inf, inf\nexperiment = orbits\nsubgroup = a\nbudgets.R = 2\n",
+        "orbits.cfg",
+    )
+    assert main(["orbits", "--config", orbits, "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert out.read_text() == CSV_HEADER + "\n"
+    assert not witness.exists()

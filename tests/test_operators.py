@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from actrep.operators import (
     triangle_upper_bound,
 )
 from actrep import operators, spaces
-from actrep.spaces import CayleySpace
+from actrep.spaces import CayleySpace, CayleyWindow
 
 from oracles import dense_compression_norm, reference_window, scatter_matvec
 
@@ -207,6 +209,7 @@ def test_norm_lower_bound_zero():
     assert est.lower_bound == 0.0
     assert est.converged
     assert est.support_size == 0
+    assert est.witness is None
 
 
 def test_norm_lower_bound_two_unitary_example():
@@ -464,6 +467,106 @@ def test_norm_lower_bound_equals_exact_reapplication():
         est = norm_lower_bound(T, space, budget)
         w = est.witness
         assert est.lower_bound == op_apply(T, w).norm() / w.norm()
+
+
+def test_witness_decoded_only_when_read(monkeypatch):
+    # no group element is built for the witness until it is read; it is then
+    # the decode of its window rows in id order, and is kept
+    conj = conjugate_sequence(B, A, 4)
+    T = FormalOperator(F2, {c: complex(0.25, 0.05 * i) for i, c in enumerate(conj)})
+    budget = NormBudget(max_iterations=8, support_cap=400)
+    space = CayleySpace(F2)
+
+    def refuse(*args):
+        raise AssertionError("decoded before the witness was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(CayleyWindow, "points", refuse)
+        m.setattr(CayleyWindow, "decode", staticmethod(refuse))
+        est = norm_lower_bound(T, space, budget)
+    window = space._last_window[1]
+    w = est.witness
+    assert w is est.witness
+    assert est.support_size == len(w) > 1
+    ids = window.lookup(list(w.coefficients))
+    assert (np.diff(ids) > 0).all() and ids[0] >= 0
+    assert window.points(ids) == list(w.coefficients)
+    assert est.lower_bound == op_apply(T, w).norm() / w.norm()
+    again = norm_lower_bound(T, space, budget)  # reuses the window
+    assert again == est and again.witness.coefficients == w.coefficients
+
+
+def test_unread_witness_keeps_no_window_alive():
+    # an estimate outlives the window it was computed on, and decodes its
+    # witness without it
+    T = FormalOperator(F2, {c: 1.0 / 3 for c in conjugate_sequence(B, A, 3)})
+    budget = NormBudget(max_iterations=6, support_cap=300)
+    space = CayleySpace(F2)
+    est = norm_lower_bound(T, space, budget)
+    ref = weakref.ref(space._last_window[1])
+    space._last_window = None
+    gc.collect()
+    assert ref() is None
+    w = est.witness
+    assert w.coefficients == norm_lower_bound(T, CayleySpace(F2), budget).witness.coefficients
+    assert est.lower_bound == op_apply(T, w).norm() / w.norm()
+
+
+def test_window_inverts_symbols_by_position(monkeypatch):
+    # the inverse rows come from the symbol rows, and equal the encoded
+    # inverses; an estimate inverts each symbol of T once
+    from actrep.groups import GroupElement, reduce
+
+    s, t = Z2Z3.generators()
+    cases = [
+        (FormalOperator(F2, {c: 0.5 for c in conjugate_sequence(B, A, 3)}), SPACE),
+        (FormalOperator(Z2Z3, {s: 1.0, t: 0.5, t * s: 0.25}), S23),  # s is its own inverse
+        (FormalOperator(F2, {A: 1.0, A.inverse(): 1.0}), SPACE),  # T = a + a^-1
+        (FormalOperator(F2, {reduce(F2, [(0, 1 << 58)]): 0.5, E: 1.0}), SPACE),
+    ]
+    for T, space in cases:
+        union, window = operators._window(T, CayleySpace(space.presentation), NormBudget(2, 20))
+        assert len(union) == len(set(union))
+        encoded, _ = window._pack([window._encode(g.inverse()) for g in union])
+        assert np.array_equal(window._sym_inv, encoded)
+        assert [union[i] for i in window.inverse] == [g.inverse() for g in union]
+    assert operators._window(cases[1][0], CayleySpace(Z2Z3), NormBudget(2, 20))[0].count(s) == 1
+    assert len(operators._window(cases[2][0], CayleySpace(F2), NormBudget(2, 20))[0]) == 2
+    calls = []
+    inverse = GroupElement.inverse
+    monkeypatch.setattr(GroupElement, "inverse", lambda g: calls.append(g) or inverse(g))
+    for T, space in cases:
+        calls.clear()
+        norm_lower_bound(T, CayleySpace(space.presentation), NormBudget(2, 20))
+        assert sorted(map(str, calls)) == sorted(map(str, T.coefficients))
+
+
+def test_line_window_store_widens_geometrically(monkeypatch):
+    # 2 e + c with c = a^-1 b a^2: the window is the line of powers of c, and
+    # its longest word grows at every one of its 121 levels
+    c = A.inverse() * B * A * A
+    T = FormalOperator(F2, {E: 2.0, c: 1.0})
+    budget = NormBudget(max_iterations=60, support_cap=500)
+    stores = []
+    append = CayleyWindow._append
+
+    def spy(self, *args):
+        append(self, *args)
+        if not stores or stores[-1] is not self._rows:
+            stores.append(self._rows)
+
+    monkeypatch.setattr(CayleyWindow, "_append", spy)
+    union, window = operators._window(T, CayleySpace(F2), budget)
+    points, depths, targets = reference_window(T, SPACE, budget)
+    assert window.points(range(window.size)) == points
+    assert window.depth.tolist() == depths
+    got = window.targets(np.arange(window.size))
+    for u, g in enumerate(union):
+        assert got[:, u].tolist() == targets[g]
+    assert max(depths) == 121
+    assert window._width == window._len[: window.size].max() + 1 == 2 * 121 + 2
+    assert window._rows.shape[1] <= 1.25 * window._width + 1
+    assert len(stores) <= 30
 
 
 def test_window_exact_when_all_fingerprints_collide(monkeypatch):
