@@ -33,7 +33,9 @@ from actrep.dynamics import (
     tracial_property_check,
     verify_panalytic,
 )
-from actrep.cli import main as cli_main
+
+from test_golden import GOLDEN, assert_golden, run_case
+from test_golden_estimator import CRITERION_9_CASES, GOLDEN_ESTIMATOR
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -210,86 +212,18 @@ def test_criterion_8_trace_properties():
 
 def test_criterion_9_determinism(tmp_path):
     # the criterion 2-5 experiments, rerun through the CLI with identical
-    # configs; expected exit code per config, 1 for the falsified family
+    # configs: the first run must equal the stored goldens, the second the first
     t0 = time.perf_counter()
-    configs = {
-        "c2_panalytic.cfg": (
-            "panalytic",
-            0,
-            """
-presentation.orders = inf, inf
-presentation.names = a, b
-experiment = panalytic
-elements.h = a
-elements.g = b
-budgets.J_max = 8
-""",
-        ),
-        "c3_average.cfg": (
-            "average",
-            0,
-            """
-presentation.orders = inf, inf
-presentation.names = a, b
-experiment = average
-operator.T = 2*e; 1*a
-elements.g = b
-budgets.J_list = 1, 2, 4, 8
-""",
-        ),
-        "c4_ideal.cfg": (
-            "ideal",
-            0,
-            """
-presentation.orders = inf, inf
-presentation.names = a, b
-experiment = ideal
-operator.T = 2*e; 1*a; 1*b
-elements.k = e
-elements.g = a b
-budgets.J_max = 17
-budgets.max_iterations = 25
-budgets.support_cap = 1500
-""",
-        ),
-        "c5_blowup.cfg": (
-            "blowup",
-            0,
-            """
-presentation.orders = 2, 3
-presentation.names = s, t
-experiment = blowup
-elements.h = t
-elements.g = s
-budgets.N = 4
-""",
-        ),
-        "c5_panalytic_falsified.cfg": (
-            "panalytic",
-            1,
-            """
-presentation.orders = 2, 3
-presentation.names = s, t
-experiment = panalytic
-elements.h = t
-elements.g = s
-budgets.J_max = 32
-budgets.max_iterations = 60
-budgets.support_cap = 6000
-""",
-        ),
-    }
-    for name, (experiment, expected_code, text) in configs.items():
-        cfg = tmp_path / name
-        cfg.write_text(text)
+    cases = [(GOLDEN, "blowup")] + [(GOLDEN_ESTIMATOR, name) for name in CRITERION_9_CASES]
+    for directory, name in cases:
         first = tmp_path / f"{name}.run1.csv"
         second = tmp_path / f"{name}.run2.csv"
-        code1 = cli_main([experiment, "--config", str(cfg), "--out", str(first)])
-        code2 = cli_main([experiment, "--config", str(cfg), "--out", str(second)])
-        assert code1 == code2 == expected_code, name
+        code1 = run_case(directory, name, first)
+        assert_golden(directory, name, first, code1)
+        assert run_case(directory, name, second) == code1, name
         assert first.read_bytes() == second.read_bytes(), name
     # end-to-end shape of the free-case run: 8 rows, estimates under bounds
-    lines = (tmp_path / "c2_panalytic.cfg.run1.csv").read_text().splitlines()
+    lines = (tmp_path / "c2_panalytic.run1.csv").read_text().splitlines()
     assert len(lines) == 9
     for line in lines[1:]:
         fields = line.split(",")

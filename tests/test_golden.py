@@ -16,6 +16,33 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
 
+def run_case(directory: Path, name: str, out: Path) -> int:
+    """Run ``<directory>/<name>.cfg`` through the CLI into ``out``; a
+    ``<name>.seed`` file next to it passes ``--seed``.  Returns the exit code."""
+    cfg = directory / f"{name}.cfg"
+    experiment = next(
+        line.partition("=")[2].strip()
+        for line in cfg.read_text().splitlines()
+        if line.startswith("experiment")
+    )
+    seed = directory / f"{name}.seed"
+    extra = ["--seed", seed.read_text().strip()] if seed.exists() else []
+    return main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+
+
+def assert_golden(directory: Path, name: str, out: Path, code: int) -> None:
+    """The exit code, CSV, text summary and witness of a run into ``out``
+    equal the stored ones; a case stores a witness only when it writes one."""
+    stored = directory / name
+    assert code == int(stored.with_suffix(".exit").read_text()), name
+    assert out.read_bytes() == stored.with_suffix(".csv").read_bytes(), name
+    assert out.with_suffix(".txt").read_bytes() == stored.with_suffix(".txt").read_bytes(), name
+    witness, want = out.with_suffix(".witness.json"), stored.with_suffix(".witness.json")
+    assert witness.exists() == want.exists(), name
+    if want.exists():
+        assert witness.read_bytes() == want.read_bytes(), name
+
+
 def test_golden_cases_present():
     assert CASES == [
         "blowup", "orbits", "orbits_many", "pingpong_degenerate", "pingpong_pass",
@@ -25,14 +52,5 @@ def test_golden_cases_present():
 
 @pytest.mark.parametrize("name", CASES)
 def test_golden_output(tmp_path, name):
-    cfg = GOLDEN / f"{name}.cfg"
-    experiment = next(
-        line.partition("=")[2].strip()
-        for line in cfg.read_text().splitlines()
-        if line.startswith("experiment")
-    )
     out = tmp_path / f"{name}.csv"
-    code = main([experiment, "--config", str(cfg), "--out", str(out)])
-    assert code == int((GOLDEN / f"{name}.exit").read_text())
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-    assert out.with_suffix(".txt").read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert_golden(GOLDEN, name, out, run_case(GOLDEN, name, out))
