@@ -21,9 +21,7 @@ from .groups import (
 from .spaces import (
     BudgetExceededError,
     CayleySpace,
-    FaithfulnessReport,
     OrbitDecomposition,
-    faithfulness_check,
     orbit_decompose,
 )
 from .operators import (
@@ -31,10 +29,8 @@ from .operators import (
     NormBudget,
     NormEstimate,
     StateVector,
-    indicator_project,
     norm_lower_bound,
     op_apply,
-    pi_apply,
     triangle_upper_bound,
 )
 from .dynamics import (
@@ -65,18 +61,14 @@ __all__ = [
     "reduce",
     "BudgetExceededError",
     "CayleySpace",
-    "FaithfulnessReport",
     "OrbitDecomposition",
-    "faithfulness_check",
     "orbit_decompose",
     "FormalOperator",
     "NormBudget",
     "NormEstimate",
     "StateVector",
-    "indicator_project",
     "norm_lower_bound",
     "op_apply",
-    "pi_apply",
     "triangle_upper_bound",
     "CoefficientSequence",
     "average_MJ",

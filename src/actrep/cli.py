@@ -5,7 +5,9 @@ a comment).  Each run writes a fixed-schema CSV, prints a plain-text
 summary, optionally emits a small SVG chart, and exits 0 on PASS, 1 on
 FALSIFIED (serializing the falsifying witness vector alongside the CSV),
 2 on INCONCLUSIVE, 3 on configuration or usage errors.  A run that writes a
-CSV but no witness removes the witness an earlier run left at that path.
+CSV but no witness removes the witness an earlier run left at that path; a
+budget overflow writes only the CSV header and removes the summary, the
+witness and the chart an earlier run left there.
 """
 
 from __future__ import annotations
@@ -596,12 +598,13 @@ def run(
     out = Path(out_path or config.output or f"{experiment}.csv")
 
     runner = RUNNERS[experiment]
-    wpath = out.with_suffix(".witness.json")
+    tpath, wpath, spath = (out.with_suffix(s) for s in (".txt", ".witness.json", ".svg"))
     try:
         result = runner(config, seed, slack)
     except BudgetExceededError as exc:
         write_csv(out, [])
-        wpath.unlink(missing_ok=True)  # an earlier run's witness would outlive its CSV
+        for path in (tpath, wpath, spath):
+            path.unlink(missing_ok=True)  # an earlier run's files would outlive its CSV
         print(f"budget overflow: {exc}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
@@ -613,7 +616,6 @@ def run(
     summary = result.summary + [f"verdict: {result.verdict}"]
     write_csv(out, rows)
     artifacts = [str(out)]
-    tpath = out.with_suffix(".txt")
     tpath.write_text("\n".join(summary) + "\n")
     artifacts.append(str(tpath))
     if result.witness is not None:
@@ -623,7 +625,6 @@ def run(
     else:
         wpath.unlink(missing_ok=True)
     if emit_svg:
-        spath = out.with_suffix(".svg")
         write_svg(spath, rows)
         artifacts.append(str(spath))
 

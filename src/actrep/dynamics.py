@@ -71,18 +71,9 @@ class CoefficientSequence:
             raise ValueError("J must be >= 1")
         return cls({j: 1.0 / J for j in range(1, J + 1)})
 
-    @classmethod
-    def dirac(cls, j: int, value: complex = 1.0) -> "CoefficientSequence":
-        return cls({j: value})
-
     @property
     def max_index(self) -> int:
         return max(self.entries, default=0)
-
-    def l2_norm(self) -> float:
-        return math.sqrt(
-            math.fsum(c.real * c.real + c.imag * c.imag for c in self.entries.values())
-        )
 
 
 def build_Ta(h: GroupElement, g: GroupElement, a: CoefficientSequence) -> FormalOperator:
@@ -256,11 +247,17 @@ def envelope_sweep(
     identity coefficient.  Otherwise it is PASS, unless
     ``require_convergence`` is set and the estimate failed to stabilize,
     which makes it INCONCLUSIVE.
+
+    The sweep owns the estimator's last closed window: it hands one holder
+    to every :func:`norm_lower_bound` call, so a row whose symbols and
+    budget limits match the previous window's reuses it instead of closing
+    it again, and the window is freed when the sweep returns.
     """
     rows: list[EnvelopeRow] = []
+    last: list = [None]  # the last (key, window) closed, see operators._window
     for J in J_values:
         T = operator_for_J(J)
-        est = norm_lower_bound(T, space, budget)
+        est = norm_lower_bound(T, space, budget, _last=last)
         bound = envelope_for_J(J)
         falsified = est.lower_bound > bound + slack
         if falsified or (identity_falsifies and T.identity_coefficient != 0j):

@@ -119,10 +119,6 @@ class GroupElement:
             self.presentation is other.presentation or self.presentation == other.presentation
         )
 
-    def __lt__(self, other: "GroupElement") -> bool:
-        # canonical-text order; used only where a reproducible order matters
-        return self.render() < other.render()
-
     def __repr__(self) -> str:
         return f"<GroupElement {self.render()}>"
 
@@ -134,10 +130,6 @@ class GroupElement:
     @property
     def is_identity(self) -> bool:
         return not self.syllables
-
-    @property
-    def syllable_count(self) -> int:
-        return len(self.syllables)
 
     def word_length(self) -> int:
         """Word length for the generating set made of all factor generators.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -34,22 +34,10 @@ class StateVector:
         self.space = space
         self.coefficients = {x: complex(c) for x, c in coefficients.items() if c != 0}
 
-    @classmethod
-    def dirac(cls, space: CayleySpace, x: Point) -> "StateVector":
-        return cls(space, {x: 1.0})
-
     def norm(self) -> float:
         return math.sqrt(
             math.fsum(c.real * c.real + c.imag * c.imag for c in self.coefficients.values())
         )
-
-    def inner(self, other: "StateVector") -> complex:
-        parts = [
-            c * other.coefficients[x].conjugate()
-            for x, c in self.coefficients.items()
-            if x in other.coefficients
-        ]
-        return _fsum_complex(parts)
 
     @property
     def support(self) -> set:
@@ -60,18 +48,6 @@ class StateVector:
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        out = dict(self.coefficients)
-        for x, c in other.coefficients.items():
-            out[x] = out.get(x, 0j) + c
-        return StateVector(self.space, out)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor: complex) -> "StateVector":
-        return StateVector(self.space, {x: factor * c for x, c in self.coefficients.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
@@ -192,12 +168,6 @@ class FormalOperator:
 # application and elementary bounds
 
 
-def pi_apply(g: GroupElement, v: StateVector) -> StateVector:
-    """Apply the unitary pi(g): relocate the support by the action, exactly."""
-    space = v.space
-    return StateVector(space, {space.apply(g, x): c for x, c in v.coefficients.items()})
-
-
 def op_apply(T: FormalOperator, v: StateVector) -> StateVector:
     """Apply sum a_g pi(g) to v with no truncation."""
     space = v.space
@@ -207,11 +177,6 @@ def op_apply(T: FormalOperator, v: StateVector) -> StateVector:
             y = space.apply(g, x)
             acc[y] = acc.get(y, 0j) + a * c
     return StateVector(space, acc)
-
-
-def indicator_project(v: StateVector, member: Callable[[Point], bool]) -> StateVector:
-    """Coordinate projection onto the points satisfying the predicate."""
-    return StateVector(v.space, {x: c for x, c in v.coefficients.items() if member(x)})
 
 
 def triangle_upper_bound(T: FormalOperator) -> float:
@@ -308,29 +273,32 @@ def _zero_estimate() -> NormEstimate:
     return NormEstimate(0.0, 0, 0.0, 0, 0, True, None)
 
 
-def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget):
+def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: list | None = None):
     """The estimator's window: the identity closed under the symbols of T,
     then their inverses, up to depth ``2 * max_iterations + 1`` and
     ``support_cap`` points.  Returns those symbols and the window, whose
     ``inverse`` gives the position of each symbol's inverse among them.
     Each symbol of T is inverted once.
 
-    The space keeps the last window it closed and hands it back while the
-    symbols, in order, and both limits stay the same, with every symbol
-    target resolved so far.
+    ``last`` is a one-item list holding the last ``(key, window)`` closed
+    through it, or None.  Its window is handed back while the symbols, in
+    order, and both limits stay the same, with every symbol target resolved
+    so far; otherwise the list is emptied before the new window closes, and
+    then holds it.  Without ``last`` a fresh window is closed.
     """
     inv = {g: g.inverse() for g in T.coefficients}
     union = tuple(dict.fromkeys([*inv, *inv.values()]))
     max_depth = 2 * budget.max_iterations + 1
     key = (union, max_depth, budget.support_cap)
-    if space._last_window is None or space._last_window[0] != key:
-        space._last_window = None  # free the old window before the new one grows
+    last = [None] if last is None else last
+    if last[0] is None or last[0][0] != key:
+        last[0] = None  # free the old window before the new one grows
         slot = {g: u for u, g in enumerate(union)}
         inverse_of = {**{gi: g for g, gi in inv.items()}, **inv}
         window = CayleyWindow(space.presentation, union, [slot[inverse_of[g]] for g in union])
         window.close(max_depth, budget.support_cap)
-        space._last_window = (key, window)
-    return list(union), space._last_window[1]
+        last[0] = (key, window)
+    return list(union), last[0][1]
 
 
 def _matvec(window: CayleyWindow, terms: list[tuple[complex, int]], v: np.ndarray) -> np.ndarray:
@@ -368,7 +336,11 @@ def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarra
 
 
 def norm_lower_bound(
-    T: FormalOperator, space: CayleySpace, budget: NormBudget | None = None
+    T: FormalOperator,
+    space: CayleySpace,
+    budget: NormBudget | None = None,
+    *,
+    _last: list | None = None,
 ) -> NormEstimate:
     """Certified lower bound on ||sum a_g pi(g)|| via compressed power iteration.
 
@@ -404,14 +376,16 @@ def norm_lower_bound(
     by numpy rather than BLAS, so the result does not depend on the BLAS
     thread count.
 
-    ``space`` keeps the last closed window: a later call on the same space
-    with the same symbols in the same order (the union of T's symbols and
-    their inverses), the same ``max_iterations`` and the same
-    ``support_cap`` reuses it, with the images it has already looked up,
-    instead of closing it again, as the rows of a torsion sweep do, whose
-    conjugates cycle.  Any other call frees the old
-    window before closing its own.  The window lives as long as the space,
-    which each engine builds once per sweep.  Each matvec moves only the
+    A call closes a fresh window and keeps none, unless the caller passes
+    ``_last``, a one-item list that holds the last window closed through it
+    (:func:`_window`).  :func:`~actrep.dynamics.envelope_sweep` passes one
+    list to every row of a sweep: a row with the same symbols in the same
+    order (the union of T's symbols and their inverses), the same
+    ``max_iterations`` and the same ``support_cap`` as the last closed
+    window reuses it, with the images it has already looked up, as the rows
+    of a torsion sweep do, whose conjugates cycle.  Any other row frees the
+    old window before closing its own, and the last one is freed when the
+    sweep returns.  Each matvec moves only the
     iterate's support, term by term in T's order, so nonzero entries are
     the same as when the whole window is moved.
 
@@ -441,7 +415,7 @@ def norm_lower_bound(
         raise ValueError("coefficients too small for the estimator: sum |a_g| below 2**-250")
 
     symbols = list(T.coefficients.items())
-    union_elems, window = _window(T, space, budget)
+    union_elems, window = _window(T, space, budget, _last)
     slot = {g: u for u, g in enumerate(union_elems)}
     fwd = [(a, slot[g]) for g, a in symbols]
     bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]

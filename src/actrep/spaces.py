@@ -2,10 +2,11 @@
 
 The group acts on itself, freely and isometrically for the word metric of
 the standard generating set.  Balls are enumerated lazily and
-deterministically; orbit decompositions and faithfulness checks are
-budget-relative: they certify what a finite window shows and never claim
-more.  The norm estimator's windows are
-integer-indexed stores of reduced words (:class:`CayleyWindow`).
+deterministically; orbit decompositions are budget-relative: they certify
+what a finite ball shows and never claim more.  The action is free, so it is
+faithful by construction and no check of it is needed.  The norm estimator's
+windows are integer-indexed stores of reduced words (:class:`CayleyWindow`);
+the space keeps none of them.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class CayleySpace:
 
     The metric is the word metric of the generating set made of all factor
     generators; left multiplication is an isometry for it.  The base point is
-    the identity.  The space also keeps the norm estimator's last closed
-    window, so the rows of one sweep that share their symbols close it once.
+    the identity.  The space is only the presentation and its ball
+    enumerator.
     """
 
     def __init__(self, presentation: FreeProductPresentation, ball_cap: int = DEFAULT_BALL_CAP):
@@ -52,7 +53,6 @@ class CayleySpace:
         self.base_point: Point = presentation.identity()
         self.ball_cap = ball_cap
         self._moves = self._one_step_moves()
-        self._last_window = None  # (key, CayleyWindow), see operators._window
 
     def _one_step_moves(self) -> list[GroupElement]:
         # generator order, positive exponent before negative; for an order-2
@@ -69,9 +69,6 @@ class CayleySpace:
         if g.presentation is not self.presentation and g.presentation != self.presentation:
             raise PresentationMismatchError("element acts on a different presentation")
         return g * x
-
-    def distance(self, x: Point, y: Point) -> int:
-        return (x.inverse() * y).word_length()
 
     def enumerate_ball(self, center: Point, radius: int) -> list[Point]:
         """All points at distance <= radius, in breadth-first discovery order."""
@@ -642,42 +639,3 @@ def orbit_decompose(
                         nxt.append(y)
             frontier = nxt
     return OrbitDecomposition(representatives, membership)
-
-
-@dataclass
-class FaithfulnessReport:
-    """Outcome of the budgeted faithfulness probe.
-
-    ``witnesses`` maps every nontrivial word of the census to a point it
-    moves; ``failures`` lists words that fixed the base point.
-    """
-
-    witnesses: dict[GroupElement, Point]
-    failures: list[GroupElement]
-    words_checked: int
-    verdict: str  # PASS | FALSIFIED
-
-
-def faithfulness_check(space: CayleySpace, word_length_budget: int) -> FaithfulnessReport:
-    """Check that every short nontrivial word moves the base point.
-
-    The action is free, so a word that moves any point moves the base point,
-    which is then the only point worth testing.  PASS means every reduced
-    word of length at most ``word_length_budget`` moves it; a failure
-    exhibits a nontrivial word acting trivially.
-    """
-    words = CayleySpace(space.presentation).enumerate_ball(space.presentation.identity(), word_length_budget)
-    x = space.base_point
-    witnesses: dict[GroupElement, Point] = {}
-    failures: list[GroupElement] = []
-    checked = 0
-    for w in words:
-        if w.is_identity:
-            continue
-        checked += 1
-        if space.apply(w, x) != x:
-            witnesses[w] = x
-        else:
-            failures.append(w)
-    verdict = PASS if not failures else FALSIFIED
-    return FaithfulnessReport(witnesses, failures, checked, verdict)

@@ -27,6 +27,11 @@ def convolve(x: dict, y: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def inner(v, w) -> complex:
+    """The l2 inner product <v, w> of two state vectors, linear in v."""
+    return sum(c * w[x].conjugate() for x, c in v.coefficients.items())
+
+
 def star(x: dict) -> dict:
     """Adjoint coefficients: conjugate at the inverse element."""
     return {g.inverse(): complex(a).conjugate() for g, a in x.items()}

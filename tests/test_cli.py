@@ -68,7 +68,7 @@ budgets.support_cap = 3000
 def test_parse_word_examples():
     assert parse_word("e", F2).is_identity
     w = parse_word("a b^-1 a", F2)
-    assert w.syllable_count == 3
+    assert len(w.syllables) == 3
     assert w == A * B.inverse() * A
     assert parse_word("h^5", Z3Z) == Z3Z.generator(0) ** 2
 
@@ -641,3 +641,21 @@ def test_run_without_witness_removes_an_earlier_one(tmp_path, monkeypatch):
     assert main(["orbits", "--config", orbits, "--out", str(out)]) == EXIT_INCONCLUSIVE
     assert out.read_text() == CSV_HEADER + "\n"
     assert not witness.exists()
+
+
+def test_budget_overflow_removes_an_earlier_summary_and_chart(tmp_path, monkeypatch):
+    # an orbits run and then the same config overflowing its ball cap: the
+    # PASS summary and the chart of the first run must not sit next to the
+    # header-only CSV of the second
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\nexperiment = orbits\nsubgroup = a\nbudgets.R = 2\n"
+    )
+    out = tmp_path / "run.csv"
+    assert main(["orbits", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_PASS
+    assert "verdict: PASS" in out.with_suffix(".txt").read_text()
+    assert out.with_suffix(".svg").is_file()
+    monkeypatch.setattr(cli, "CayleySpace", lambda pres: CayleySpace(pres, ball_cap=5))
+    assert main(["orbits", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_INCONCLUSIVE
+    assert out.read_text() == CSV_HEADER + "\n"
+    assert not out.with_suffix(".txt").exists()
+    assert not out.with_suffix(".svg").exists()

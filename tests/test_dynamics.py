@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import weakref
@@ -5,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from actrep import cli, spaces
+from actrep import cli, dynamics, spaces
 from actrep.groups import (
     INFINITE,
     DegenerateInputError,
@@ -25,6 +26,7 @@ from actrep.dynamics import (
     build_Ta,
     canonical_trace,
     check_Wj_disjoint,
+    envelope_sweep,
     finite_order_blowup,
     ideal_experiment,
     pingpong_certificate,
@@ -82,14 +84,14 @@ def random_operator(rng, presentation, n_terms, max_len):
 def test_coefficient_sequence():
     a = CoefficientSequence.uniform(4)
     assert a.max_index == 4
-    assert abs(a.l2_norm() - 0.5) <= 1e-15
+    assert a.entries == {j: 0.25 for j in range(1, 5)}
     assert CoefficientSequence({1: 1.0, 5: 0.0}).entries == {1: 1.0}
     with pytest.raises(ValueError):
         CoefficientSequence({0: 1.0})
 
 
 def test_build_ta_single_weight():
-    T = build_Ta(A, B, CoefficientSequence.dirac(1))
+    T = build_Ta(A, B, CoefficientSequence({1: 1.0}))
     assert T == FormalOperator(F2, {B.inverse() * A * B: 1.0})
 
 
@@ -107,7 +109,8 @@ def test_build_ta_uniform_free():
     T = build_Ta(A, B, CoefficientSequence.uniform(J))
     assert len(T) == J
     assert all(abs(c - 1.0 / J) <= 1e-15 for c in T.coefficients.values())
-    assert abs(CoefficientSequence.uniform(J).l2_norm() - 1 / math.sqrt(J)) <= 1e-15
+    l2 = math.hypot(*(abs(c) for c in CoefficientSequence.uniform(J).entries.values()))
+    assert abs(l2 - 1 / math.sqrt(J)) <= 1e-15
 
 
 def test_build_ta_rejects_trivial_h():
@@ -378,12 +381,14 @@ def test_window_reused_only_for_the_same_symbols_and_limits(monkeypatch):
     T = FormalOperator(Z2Z3, {T23: 0.5, sts: 0.5})
     base = NormBudget(max_iterations=10, support_cap=200)
     closed = _record_closes(monkeypatch)
-    norm_lower_bound(T, space, base)
+    last = [None]
+    norm_lower_bound(T, space, base, _last=last)
     # new coefficients or a start vector keep the window
-    norm_lower_bound(T.scale(-1j), space, base)
+    norm_lower_bound(T.scale(-1j), space, base, _last=last)
     start = StateVector(space, {space.base_point: 2.0, T23: 1j})
-    norm_lower_bound(T, space, replace(base, start_vector=start))
+    norm_lower_bound(T, space, replace(base, start_vector=start), _last=last)
     assert len(closed) == 1
+    assert last[0][1] is closed[0]
     changes = [
         (FormalOperator(Z2Z3, {sts: 0.5, T23: 0.5}), base),  # the symbols in another order
         (T, base),
@@ -391,17 +396,21 @@ def test_window_reused_only_for_the_same_symbols_and_limits(monkeypatch):
         (T, replace(base, max_iterations=11)),
     ]
     for n, (op, budget) in enumerate(changes, start=2):
-        norm_lower_bound(op, space, budget)
+        norm_lower_bound(op, space, budget, _last=last)
         assert len(closed) == n
-        assert space._last_window[1] is closed[-1]
+        assert last[0][1] is closed[-1]
+    # without a holder, even the same call on the same space closes anew
+    norm_lower_bound(T, space, replace(base, max_iterations=11))
+    assert len(closed) == 6
 
 
 def test_replaced_window_is_freed_before_the_next_closes(monkeypatch):
     space = CayleySpace(Z2Z3)
     T = FormalOperator(Z2Z3, {T23: 0.5, S * T23 * S: 0.5})
     budget = NormBudget(max_iterations=10, support_cap=200)
-    norm_lower_bound(T, space, budget)
-    old = weakref.ref(space._last_window[1])
+    last = [None]
+    norm_lower_bound(T, space, budget, _last=last)
+    old = weakref.ref(last[0][1])
     alive_when_closing = []
     close = spaces.CayleyWindow.close
 
@@ -410,9 +419,47 @@ def test_replaced_window_is_freed_before_the_next_closes(monkeypatch):
         return close(window, *args)
 
     monkeypatch.setattr(spaces.CayleyWindow, "close", watched)
-    norm_lower_bound(T, space, replace(budget, support_cap=150))
+    norm_lower_bound(T, space, replace(budget, support_cap=150), _last=last)
     assert alive_when_closing == [False]
     assert old() is None
+
+
+def test_no_window_outlives_its_sweep_or_call(monkeypatch):
+    # a sweep frees its last window when it returns, and a direct call keeps
+    # none, so a space that outlives them pins no window
+    alive = []
+    close = spaces.CayleyWindow.close
+
+    def watched(window, *args):
+        alive.append(weakref.ref(window))
+        return close(window, *args)
+
+    monkeypatch.setattr(spaces.CayleyWindow, "close", watched)
+    budget = NormBudget(max_iterations=10, support_cap=200)
+    space = CayleySpace(Z2Z3)
+    T = FormalOperator(Z2Z3, {T23: 0.5, S * T23 * S: 0.5})
+    rep = envelope_sweep([1, 2, 3], lambda J: T, lambda J: 1.0, budget, space)
+    assert len(alive) == 1 and len(rep.rows) == 3
+    est = norm_lower_bound(T, space, budget)
+    assert len(alive) == 2 and est.support_size > 0
+    verify_panalytic(T23, S, 4, budget=budget)
+    assert len(alive) == 4
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 4
+
+
+def test_sweep_estimates_through_the_module_global(monkeypatch):
+    # perfbench's tracer wraps dynamics.norm_lower_bound: every row of a
+    # sweep must call it through that name
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return norm_lower_bound(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "norm_lower_bound", counting)
+    rep = verify_panalytic(A, B, 3, budget=NormBudget(max_iterations=5, support_cap=100))
+    assert calls == [row.operator for row in rep.rows] and len(calls) == 3
 
 
 def test_cli_runs_share_no_window(tmp_path, monkeypatch, capsys):

@@ -3,16 +3,16 @@
 Unlike ``tests/golden/``, these files depend on floating point: every
 estimate, residual and witness value comes out of a float64 power
 iteration, so the bytes pin the estimator's arithmetic and its order of
-operations, not only its exact word arithmetic.  They were the same across
-numpy's SIMD dispatch levels and BLAS thread counts on one x86-64 host;
-other platforms and numpy 1.x are untested.
+operations, not only its exact word arithmetic.  Estimator outputs have
+been found equal across numpy's SIMD dispatch levels and BLAS thread counts
+on an x86-64 host; other platforms and numpy 1.x are untested.
 
 Each ``tests/golden_estimator/<name>.cfg`` names its experiment, and a
 ``<name>.seed`` file passes ``--seed``, which pins the start-vector lookup.
 The stored exit code, CSV and text summary must match byte for byte, and so
 must ``<name>.witness.json`` for the runs that end FALSIFIED.  The criterion
-2-5 configs are compared by ``test_criterion_9_determinism``, whose first run
-of each is already the comparison; this module runs the small ones.
+2-5 configs are compared by ``test_criterion_9_determinism``, which runs them
+anyway; this module runs the small ones.
 """
 
 from pathlib import Path

@@ -210,11 +210,6 @@ def test_render_forms():
     assert str(S * T ** 2) == "s t^2"
 
 
-def test_elements_sort_by_rendering():
-    xs = [B, E, A * B, A]
-    assert [x.render() for x in sorted(xs)] == sorted(x.render() for x in xs)
-
-
 def test_power_by_squaring_matches_repeated_multiplication():
     rng = random.Random(31)
     for pres in (F2, Z2Z3):

@@ -16,16 +16,14 @@ from actrep.operators import (
     FormalOperator,
     NormBudget,
     StateVector,
-    indicator_project,
     norm_lower_bound,
     op_apply,
-    pi_apply,
     triangle_upper_bound,
 )
 from actrep import operators, spaces
 from actrep.spaces import CayleySpace, CayleyWindow
 
-from oracles import dense_compression_norm, reference_window, scatter_matvec
+from oracles import dense_compression_norm, inner, reference_window, scatter_matvec
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -83,13 +81,23 @@ def test_state_vector_basics():
     assert len(v) == 2  # exact zeros are dropped
     assert v.norm() == 5.0
     assert v[B] == 0j
-    assert StateVector.dirac(SPACE, A).support == {A}
+    assert StateVector(SPACE, {A: 1}).support == {A}
+
+
+def pi(g):
+    """The unitary pi(g), as the one-term operator."""
+    return FormalOperator(g.presentation, {g: 1})
+
+
+def project(v, member):
+    """The coordinate projection of v onto the points satisfying ``member``."""
+    return StateVector(v.space, {x: c for x, c in v.coefficients.items() if member(x)})
 
 
 def test_pi_apply_examples():
     v = random_vector(random.Random(1), SPACE)
-    assert pi_apply(E, v) == v
-    assert pi_apply(A, StateVector.dirac(SPACE, E)) == StateVector.dirac(SPACE, A)
+    assert op_apply(pi(E), v) == v
+    assert op_apply(pi(A), StateVector(SPACE, {E: 1})) == StateVector(SPACE, {A: 1})
 
 
 def test_pi_apply_unitary():
@@ -98,15 +106,16 @@ def test_pi_apply_unitary():
         for _ in range(200):
             g = random_element(rng, space.presentation, 6)
             v = random_vector(rng, space)
-            assert abs(pi_apply(g, v).norm() - v.norm()) <= 1e-12
+            assert abs(op_apply(pi(g), v).norm() - v.norm()) <= 1e-12
 
 
 def test_op_apply_examples():
     v = random_vector(random.Random(2), SPACE)
     one = FormalOperator.unit(F2)
     assert op_apply(one, v) == v
-    assert op_apply(FormalOperator(F2, {E: 2.0, A: 0.0}), v) == v.scale(2.0)
-    out = op_apply(FormalOperator(F2, {A: 1.0, A.inverse(): 1.0}), StateVector.dirac(SPACE, E))
+    doubled = StateVector(SPACE, {x: 2.0 * c for x, c in v.coefficients.items()})
+    assert op_apply(FormalOperator(F2, {E: 2.0, A: 0.0}), v) == doubled
+    out = op_apply(FormalOperator(F2, {A: 1.0, A.inverse(): 1.0}), StateVector(SPACE, {E: 1}))
     assert out == StateVector(SPACE, {A: 1.0, A.inverse(): 1.0})
 
 
@@ -137,18 +146,9 @@ def test_adjoint_pairing():
         T = random_operator(rng, F2)
         v = random_vector(rng, SPACE)
         w = random_vector(rng, SPACE)
-        lhs = op_apply(T, v).inner(w)
-        rhs = v.inner(op_apply(T.adjoint(), w))
+        lhs = inner(op_apply(T, v), w)
+        rhs = inner(v, op_apply(T.adjoint(), w))
         assert abs(lhs - rhs) <= 1e-10
-
-
-def test_indicator_project():
-    v = random_vector(random.Random(6), SPACE)
-    assert indicator_project(v, lambda x: True) == v
-    assert indicator_project(v, lambda x: False) == StateVector(SPACE, {})
-    proj = indicator_project(v, lambda x: x.word_length() <= 2)
-    assert proj == indicator_project(proj, lambda x: x.word_length() <= 2)
-    assert proj.norm() <= v.norm()
 
 
 def test_indicator_w0_example():
@@ -156,7 +156,7 @@ def test_indicator_w0_example():
     from actrep.groups import first_syllable_in
 
     v = StateVector(SPACE, {A * B: 1.0, B * A: 1.0})
-    proj = indicator_project(v, lambda x: not first_syllable_in(x, 1))
+    proj = project(v, lambda x: not first_syllable_in(x, 1))
     assert proj == StateVector(SPACE, {A * B: 1.0})
 
 
@@ -172,8 +172,8 @@ def test_projection_commutation_with_translation():
         v = random_vector(rng, SPACE)
         alpha = rng.randrange(-3, 4)
         j = rng.randrange(-3, 4)
-        lhs = indicator_project(pi_apply(B ** j, v), in_w(alpha))
-        rhs = pi_apply(B ** j, indicator_project(v, in_w(alpha - j)))
+        lhs = project(op_apply(pi(B ** j), v), in_w(alpha))
+        rhs = op_apply(pi(B ** j), project(v, in_w(alpha - j)))
         assert lhs == rhs
 
 
@@ -435,9 +435,9 @@ def test_full_window_resolves_only_the_rows_the_iterate_reaches():
     # the uniform J = 8 average fills the 30,000-point window, but its
     # iterate and witness reach only a few thousand of its points
     T = FormalOperator(F2, {c: 1.0 / 8 for c in conjugate_sequence(B, A, 8)})
-    space = CayleySpace(F2)
-    norm_lower_bound(T, space)
-    window = space._last_window[1]
+    last = [None]
+    norm_lower_bound(T, SPACE, _last=last)
+    window = last[0][1]
     assert window.size == NormBudget().support_cap
     assert np.count_nonzero(window._targets[:, 0] != spaces._UNRESOLVED) <= 6_000
 
@@ -480,11 +480,12 @@ def test_witness_decoded_only_when_read(monkeypatch):
     def refuse(*args):
         raise AssertionError("decoded before the witness was read")
 
+    last = [None]
     with monkeypatch.context() as m:
         m.setattr(CayleyWindow, "points", refuse)
         m.setattr(CayleyWindow, "decode", staticmethod(refuse))
-        est = norm_lower_bound(T, space, budget)
-    window = space._last_window[1]
+        est = norm_lower_bound(T, space, budget, _last=last)
+    window = last[0][1]
     w = est.witness
     assert w is est.witness
     assert est.support_size == len(w) > 1
@@ -492,7 +493,7 @@ def test_witness_decoded_only_when_read(monkeypatch):
     assert (np.diff(ids) > 0).all() and ids[0] >= 0
     assert window.points(ids) == list(w.coefficients)
     assert est.lower_bound == op_apply(T, w).norm() / w.norm()
-    again = norm_lower_bound(T, space, budget)  # reuses the window
+    again = norm_lower_bound(T, space, budget, _last=last)  # reuses the window
     assert again == est and again.witness.coefficients == w.coefficients
 
 
@@ -501,10 +502,10 @@ def test_unread_witness_keeps_no_window_alive():
     # witness without it
     T = FormalOperator(F2, {c: 1.0 / 3 for c in conjugate_sequence(B, A, 3)})
     budget = NormBudget(max_iterations=6, support_cap=300)
-    space = CayleySpace(F2)
-    est = norm_lower_bound(T, space, budget)
-    ref = weakref.ref(space._last_window[1])
-    space._last_window = None
+    last = [None]
+    est = norm_lower_bound(T, SPACE, budget, _last=last)
+    ref = weakref.ref(last[0][1])
+    last[0] = None
     gc.collect()
     assert ref() is None
     w = est.witness
