@@ -5,9 +5,9 @@ a comment).  Each run writes a fixed-schema CSV, prints a plain-text
 summary, optionally emits a small SVG chart, and exits 0 on PASS, 1 on
 FALSIFIED (serializing the falsifying witness vector alongside the CSV),
 2 on INCONCLUSIVE, 3 on configuration or usage errors.  A run that writes a
-CSV but no witness removes the witness an earlier run left at that path; a
-budget overflow writes only the CSV header and removes the summary, the
-witness and the chart an earlier run left there.
+CSV removes every sidecar (summary, witness, chart) that it does not write
+itself, so no file an earlier run left at that path outlives it; a budget
+overflow writes only the CSV header.
 """
 
 from __future__ import annotations
@@ -55,17 +55,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 CSV_HEADER = "experiment,param_hash,index,bound,estimate,residual,support,converged,verdict"
-
-EXPERIMENTS = (
-    "panalytic",
-    "average",
-    "norm",
-    "trace",
-    "orbits",
-    "pingpong",
-    "blowup",
-    "ideal",
-)
 
 
 class ConfigError(ValueError):
@@ -148,15 +137,6 @@ class Budgets:
     c_min: float = 0.5
     C: float = 2.0
     N: int = 4
-
-    def norm_budget(self, start_vector: StateVector | None = None) -> NormBudget:
-        return NormBudget(
-            max_iterations=self.max_iterations,
-            support_cap=self.support_cap,
-            prune_threshold=self.prune_threshold,
-            residual_target=self.residual_target,
-            start_vector=start_vector,
-        )
 
 
 @dataclass
@@ -359,13 +339,14 @@ def _witness_payload(experiment: str, row: EnvelopeRow) -> dict:
 def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBudget:
     """The estimator budget; a seed adds a random start vector supported on
     the base point and its images under ``symbols``."""
-    if seed is None:
-        return config.budgets.norm_budget()
-    rng = random.Random(seed)
-    space = CayleySpace(config.presentation)
-    points = [space.base_point] + [g * space.base_point for g in symbols]
-    coeffs = {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in points}
-    return config.budgets.norm_budget(StateVector(space, coeffs))
+    start = None
+    if seed is not None:
+        rng = random.Random(seed)
+        space = CayleySpace(config.presentation)
+        points = [space.base_point] + [g * space.base_point for g in symbols]
+        start = StateVector(space, {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in points})
+    b = config.budgets
+    return NormBudget(b.max_iterations, b.support_cap, b.prune_threshold, b.residual_target, start)
 
 
 def _sweep_result(rep: EnvelopeReport, summary: list[str]) -> ExperimentResult:
@@ -532,6 +513,8 @@ RUNNERS = {
     "ideal": run_ideal,
 }
 
+EXPERIMENTS = tuple(RUNNERS)
+
 
 # ---------------------------------------------------------------------------
 # output artifacts
@@ -602,15 +585,18 @@ def run(
     try:
         result = runner(config, seed, slack)
     except BudgetExceededError as exc:
-        write_csv(out, [])
-        for path in (tpath, wpath, spath):
-            path.unlink(missing_ok=True)  # an earlier run's files would outlive its CSV
-        print(f"budget overflow: {exc}", file=sys.stderr)
-        print(f"partial csv: {out}")
-        return EXIT_INCONCLUSIVE
+        result = exc
     except (ValueError, OverflowError) as exc:
         # a bad word, a budget out of range or exponents too large in the config
         raise ConfigError(f"{config_path}: {exc}") from None
+    for path in (tpath, wpath, spath):
+        # a sidecar this run does not write below would be an earlier run's
+        path.unlink(missing_ok=True)
+    if isinstance(result, BudgetExceededError):
+        write_csv(out, [])
+        print(f"budget overflow: {result}", file=sys.stderr)
+        print(f"partial csv: {out}")
+        return EXIT_INCONCLUSIVE
 
     rows = [ResultRow(experiment, ph, *values) for values in result.rows]
     summary = result.summary + [f"verdict: {result.verdict}"]
@@ -622,8 +608,6 @@ def run(
         payload = _witness_payload(experiment, result.witness)
         wpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         artifacts.append(str(wpath))
-    else:
-        wpath.unlink(missing_ok=True)
     if emit_svg:
         write_svg(spath, rows)
         artifacts.append(str(spath))

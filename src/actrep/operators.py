@@ -269,16 +269,13 @@ def _norm(v: np.ndarray) -> np.float64:
     return np.sqrt(np.sum(x * x))
 
 
-def _zero_estimate() -> NormEstimate:
-    return NormEstimate(0.0, 0, 0.0, 0, 0, True, None)
-
-
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: list | None = None):
     """The estimator's window: the identity closed under the symbols of T,
     then their inverses, up to depth ``2 * max_iterations + 1`` and
     ``support_cap`` points.  Returns those symbols and the window, whose
     ``inverse`` gives the position of each symbol's inverse among them.
-    Each symbol of T is inverted once.
+    T's symbols come first, in T's order, so T's term k acts through window
+    symbol k.  Each symbol of T is inverted once.
 
     ``last`` is a one-item list holding the last ``(key, window)`` closed
     through it, or None.  Its window is handed back while the symbols, in
@@ -354,11 +351,11 @@ def norm_lower_bound(
 
     The window is an integer-indexed :class:`CayleyWindow`: points
     are rows of syllable codes with consecutive ids, identity is decided
-    exactly (a fingerprint match counts only when the rows are equal), and
-    whole blocks of points are multiplied by the symbols at once while the
-    window grows.  Once it is full, an image's fingerprint is composed from
-    its symbol's prefix and its point's suffix, and a row is built only
-    when that fingerprint matches.  It grows
+    exactly (a match of the words' polynomial hashes counts only when the
+    rows are equal), and whole blocks of points are multiplied by the
+    symbols at once while the window grows.  Once it is full, an image's
+    hash is composed from its symbol's prefix and its point's suffix, and a
+    row is built only when that hash is stored.  It grows
     level by level in the same breadth-first order as a point-by-point
     loop: new points in first-occurrence order of the (point, symbol) scan,
     up to depth ``2 * max_iterations + 1``, truncated at ``support_cap``.
@@ -369,8 +366,9 @@ def norm_lower_bound(
     elements are built only for the ``start_vector`` lookup: the estimate
     keeps the witness as a copy of its window rows, and its group elements
     are built the first time ``witness`` is read.  Each symbol of T is
-    inverted once.  The bound ||T w|| / ||w|| is computed on window ids,
-    with the images outside the window resolved exactly, and equals
+    inverted once, and T's term k acts through the window's symbol k.  The
+    bound ||T w|| / ||w|| is computed on window ids, with the images outside
+    the window resolved exactly, and equals
     ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
     use :func:`op_apply` as its oracle.  Norms in the iteration are summed
     by numpy rather than BLAS, so the result does not depend on the BLAS
@@ -407,17 +405,17 @@ def norm_lower_bound(
         raise ValueError("max_iterations must be >= 1")
     if budget.support_cap < 1:
         raise ValueError("support_cap must be >= 1")
-    if not triangle_upper_bound(T) <= 2.0**250:
+    l1 = triangle_upper_bound(T)
+    if not l1 <= 2.0**250:
         raise ValueError("coefficients too large for the estimator: sum |a_g| exceeds 2**250")
     if not T.coefficients:
-        return _zero_estimate()
-    if not triangle_upper_bound(T) >= 2.0**-250:
+        return NormEstimate(0.0, 0, 0.0, 0, 0, True, None)
+    if not l1 >= 2.0**-250:
         raise ValueError("coefficients too small for the estimator: sum |a_g| below 2**-250")
 
-    symbols = list(T.coefficients.items())
-    union_elems, window = _window(T, space, budget, _last)
-    slot = {g: u for u, g in enumerate(union_elems)}
-    fwd = [(a, slot[g]) for g, a in symbols]
+    _, window = _window(T, space, budget, _last)
+    coefficients = list(T.coefficients.values())
+    fwd = [(a, k) for k, a in enumerate(coefficients)]
     bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]
 
     v = np.zeros(window.size, dtype=np.complex128)
@@ -466,8 +464,8 @@ def norm_lower_bound(
     # the products and the exactly rounded sum of StateVector.norm
     wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
     if wn > 0:
-        images = window.images(np.array([u for _, u in fwd]), nz)
-        lower = _applied_norm([a for _, a in symbols], images, wv) / wn
+        images = window.images(np.arange(len(coefficients)), nz)
+        lower = _applied_norm(coefficients, images, wv) / wn
     else:
         lower = 0.0
     radius = int(window.depth[nz].max(initial=0))

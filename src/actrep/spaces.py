@@ -111,9 +111,6 @@ _UNRESOLVED = -2
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _OVERFLOW = "syllable exponents too large for the integer window"
 
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
 #: Base of the polynomial word hash, odd so that it is invertible mod 2**64.
 _B = 0x9E3779B97F4A7C15
 _B_INV = pow(_B, -1, 1 << 64)
@@ -132,6 +129,8 @@ def _hash(rows: np.ndarray) -> np.ndarray:
     The codes are read as uint64.  Zero padding contributes nothing, so H does
     not depend on the row width, and H composes across concatenation:
     H(u v) = H(u) + B**len(u) H(v), which :meth:`CayleyWindow._compose` uses.
+    H is a word's fingerprint: it only proposes candidates, and every match
+    is confirmed by comparing rows.
     """
     return (rows.view(np.uint64) * _powers(rows.shape[-1])).sum(axis=-1, dtype=np.uint64)
 
@@ -142,20 +141,6 @@ def _prefix_hashes(rows: np.ndarray) -> np.ndarray:
     terms = rows.view(np.uint64) * _powers(rows.shape[-1])
     np.cumsum(terms[:, :-1], axis=1, dtype=np.uint64, out=out[:, 1:])
     return out
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The one finaliser that turns hashes into fingerprints: splitmix64 on a
-    uint64 array, which maps 0 to 0.
-
-    Stored and composed fingerprints both pass through it.  A fingerprint
-    only proposes candidates: every match is confirmed by comparing rows.
-    """
-    x = x ^ (x >> np.uint64(30))
-    x = x * _MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _MIX2
-    return x ^ (x >> np.uint64(31))
 
 
 def _rows_equal(a: np.ndarray, alen: np.ndarray, b: np.ndarray, blen: np.ndarray) -> np.ndarray:
@@ -212,10 +197,9 @@ class CayleyWindow:
     ``u``, so no symbol is inverted here.
 
     Identity is exact.  A word's fingerprint is its polynomial hash
-    (:func:`_hash`) passed through :func:`_mix`; a fingerprint proposes a
-    stored point, which counts only when its row equals the query's, and a
-    fingerprint shared by several stored points makes the query be compared
-    with each of them.  Every point keeps its hash and the window keeps the
+    (:func:`_hash`); the stored points with a query's hash are its
+    candidates, and one counts only when its row equals the query's.  Every
+    point keeps its hash and the window keeps the
     prefix hashes of its symbols, so :meth:`_compose` forms the hash of an
     image s x without building its row.  :meth:`close` builds the rows of
     every image, since most of them join the window; :meth:`targets` and
@@ -244,7 +228,7 @@ class CayleyWindow:
         self._hx = _hash(self._rows)
         self._depth = np.zeros(1, dtype=np.int64)
         self.size = 1
-        self._index_fp = _mix(self._hx)
+        self._index_fp = self._hx.copy()
         self._index_id = np.zeros(1, dtype=np.int64)
 
     # -- encoding --------------------------------------------------------
@@ -303,39 +287,37 @@ class CayleyWindow:
         mine = [i for i, x in enumerate(points) if x.presentation == self.presentation]
         if mine:
             rows, lens = self._pack([self._encode(points[i]) for i in mine])
-            ids[mine] = self._find(_mix(_hash(rows)), lambda idx: (rows[idx], lens[idx]))
+            ids[mine] = self._find(_hash(rows), lambda idx: (rows[idx], lens[idx]))
         return ids
 
     # -- identity --------------------------------------------------------
 
-    def _find(self, fp: np.ndarray, rows_of) -> np.ndarray:
-        """Ids of the words with fingerprints ``fp``, or -1 where they are not stored.
+    def _find(self, h: np.ndarray, rows_of) -> np.ndarray:
+        """Ids of the words with hashes ``h``, or -1 where they are not stored.
 
-        ``rows_of(idx)`` returns the rows and lengths of the words ``idx``; it
-        is asked only for words whose fingerprint is stored, a block of
-        :meth:`_pair_step` words at a time.
+        Each word is compared with every stored word of its hash, a run of
+        the sorted index bounded by a search to each side; stored words are
+        distinct, so at most one of them matches.  ``rows_of(idx)`` returns
+        the rows and lengths of the words ``idx``, which may repeat; it is
+        asked only for words whose hash is stored, a block of
+        :meth:`_pair_step` comparisons at a time.
         """
         index = self._index_fp
-        order = np.argsort(fp)  # sorted needles make the binary searches cache-friendly
-        lo = np.empty(len(fp), dtype=np.int64)
-        lo[order] = np.minimum(np.searchsorted(index, fp[order]), len(index) - 1)
-        hit = index[lo] == fp
-        shared = hit & (index[np.minimum(lo + 1, len(index) - 1)] == fp) & (lo + 1 < len(index))
-        ids = np.full(len(fp), -1, dtype=np.int64)
-        one = np.nonzero(hit & ~shared)[0]
+        order = np.argsort(h)  # sorted needles make the binary searches cache-friendly
+        needles = h[order]
+        lo = np.searchsorted(index, needles)
+        hi = lo.copy()
+        hit = index[np.minimum(lo, len(index) - 1)] == needles
+        hi[hit] = np.searchsorted(index, needles[hit], side="right")
+        runs = hi - lo
+        query = np.repeat(order, runs)
+        at = np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
+        ids = np.full(len(h), -1, dtype=np.int64)
         step = self._pair_step()
-        for i in range(0, len(one), step):
-            idx = one[i : i + step]
-            cand = self._index_id[lo[idx]]
-            match = _rows_equal(*rows_of(idx), self._words(cand), self._len[cand])
-            ids[idx[match]] = cand[match]
-        for q in np.nonzero(shared)[0].tolist():
-            hi = np.searchsorted(index, fp[q], side="right")
-            cands = self._index_id[lo[q] : hi]
-            rows, lens = rows_of(np.array([q]))
-            match = np.nonzero(_rows_equal(rows, lens, self._words(cands), self._len[cands]))[0]
-            if match.size:
-                ids[q] = cands[match[0]]
+        for i in range(0, len(query), step):
+            q, cand = query[i : i + step], self._index_id[at[i : i + step]]
+            match = _rows_equal(*rows_of(q), self._words(cand), self._len[cand])
+            ids[q[match]] = cand[match]
         return ids
 
     def _intern(
@@ -344,23 +326,22 @@ class CayleyWindow:
         """Ids of the given words; absent ones join in first-occurrence order
         while there is room, and the rest get -1."""
         h = _hash(rows)
-        fp = _mix(h)
-        ids = self._find(fp, lambda idx: (rows[idx], lens[idx]))
+        ids = self._find(h, lambda idx: (rows[idx], lens[idx]))
         new = np.nonzero(ids < 0)[0]
         if new.size and room > 0:
-            first, group = _group(fp[new], lambda idx: (rows[new[idx]], lens[new[idx]]), len(new))
+            first, group = _group(h[new], lambda idx: (rows[new[idx]], lens[new[idx]]), len(new))
             take = min(len(first), room)
             fresh = np.full(len(first), -1, dtype=np.int64)
             fresh[:take] = self.size + np.arange(take)
             ids[new] = fresh[group]
             keep = new[first[:take]]
-            self._append(rows[keep], lens[keep], h[keep], fp[keep], depth, self.size + room)
+            self._append(rows[keep], lens[keep], h[keep], depth, self.size + room)
         return ids
 
     def _append(
-        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, fp: np.ndarray, depth: int, limit: int
+        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, depth: int, limit: int
     ) -> None:
-        """Store new points with their hashes ``h`` and fingerprints ``fp``;
+        """Store new points with their hashes ``h``;
         the store never reserves room past ``limit`` points.  Its width grows
         by at least a ``_WIDTH_GROWTH`` share, so a window whose longest word
         grows at every level is copied a logarithmic number of times."""
@@ -385,9 +366,9 @@ class CayleyWindow:
         self._hx[n : n + k] = h
         self._depth[n : n + k] = depth
         self.size = n + k
-        order = np.argsort(fp, kind="stable")
-        at = np.searchsorted(self._index_fp, fp[order], side="right")
-        self._index_fp = np.insert(self._index_fp, at, fp[order])
+        order = np.argsort(h, kind="stable")
+        at = np.searchsorted(self._index_fp, h[order], side="right")
+        self._index_fp = np.insert(self._index_fp, at, h[order])
         self._index_id = np.insert(self._index_id, at, n + order)
 
     # -- the action ------------------------------------------------------
@@ -516,15 +497,11 @@ class CayleyWindow:
         while i < self.size and self.size < cap and self._depth[i] < max_depth:
             if i == hi:
                 hi = self.size
-            j = min(hi, i + self._step())
+            j = min(hi, i + max(1, self._pair_step() // len(self._sym)))
             blocks.append(self._expand(slice(i, j), cap - self.size, int(self._depth[i]) + 1))
             i = j
         unresolved = np.full((self.size - i, len(self._sym)), _UNRESOLVED, dtype=np.int32)
         self._targets = np.concatenate([*blocks, unresolved])
-
-    def _step(self) -> int:
-        """Points per block of :meth:`_expand`."""
-        return max(1, _BLOCK_ELEMENTS // (len(self._sym) * (self._width + self._sym.shape[1])))
 
     def _expand(self, points, room: int, depth: int) -> np.ndarray:
         """Ids of every symbol applied to the selected points, as int32 rows;
@@ -554,7 +531,7 @@ class CayleyWindow:
             for i in range(0, len(todo), step):
                 block = todo[i : i + step]
                 pid, u = np.repeat(block, U), np.tile(np.arange(U), len(block))
-                found = self._find(_mix(self._compose(pid, u)), lambda idx: self._pair_rows(pid[idx], u[idx]))
+                found = self._find(self._compose(pid, u), lambda idx: self._pair_rows(pid[idx], u[idx]))
                 self._targets[block] = found.reshape(-1, U)
             rows = self._targets[ids]
         return rows
@@ -580,7 +557,7 @@ class CayleyWindow:
         composed a block of pairs at a time; rows are built only for images
         whose fingerprint an earlier image shares."""
         fp = np.concatenate([
-            _mix(self._compose(ids[i : i + _BLOCK_PAIRS], u[i : i + _BLOCK_PAIRS]))
+            self._compose(ids[i : i + _BLOCK_PAIRS], u[i : i + _BLOCK_PAIRS])
             for i in range(0, len(ids), _BLOCK_PAIRS)
         ])
         return _group(fp, lambda idx: self._pair_rows(ids[idx], u[idx]), self._pair_step())[1]

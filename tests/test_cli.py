@@ -659,3 +659,16 @@ def test_budget_overflow_removes_an_earlier_summary_and_chart(tmp_path, monkeypa
     assert out.read_text() == CSV_HEADER + "\n"
     assert not out.with_suffix(".txt").exists()
     assert not out.with_suffix(".svg").exists()
+
+
+def test_run_without_svg_removes_an_earlier_chart(tmp_path):
+    # a chart left by an earlier run must not sit next to a CSV written without one
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\nexperiment = orbits\nsubgroup = a\nbudgets.R = 2\n"
+    )
+    out = tmp_path / "run.csv"
+    assert main(["orbits", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_PASS
+    assert out.with_suffix(".svg").is_file()
+    assert main(["orbits", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    assert "verdict: PASS" in out.with_suffix(".txt").read_text()
+    assert not out.with_suffix(".svg").exists()

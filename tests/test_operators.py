@@ -357,6 +357,7 @@ def test_window_matches_reference_closure():
         union, window = operators._window(T, space, budget)
         got = window.targets(np.arange(window.size))
         assert union == list(targets)
+        assert union[: len(T)] == list(T.coefficients)
         assert window.points(range(window.size)) == points
         assert window.depth.tolist() == depths
         assert got.dtype == np.int32
@@ -570,7 +571,10 @@ def test_line_window_store_widens_geometrically(monkeypatch):
     assert len(stores) <= 30
 
 
-def test_window_exact_when_all_fingerprints_collide(monkeypatch):
+@pytest.mark.parametrize("mask", [0, 3, 7])
+def test_window_exact_when_all_fingerprints_collide(monkeypatch, mask):
+    # mask 0 gives every word one hash; 3 and 7 leave some lookups without a
+    # stored hash and others with runs of several stored words to compare
     conj = conjugate_sequence(B, A, 3)
     T = FormalOperator(F2, {c: complex(1.0 / 3, 0.1 * i) for i, c in enumerate(conj)})
     # the cap leaves witness images outside the window, so their labelling collides too
@@ -579,8 +583,11 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch):
     union, window = operators._window(T, CayleySpace(F2), budget)
     targets = window.targets(np.arange(window.size))
     est = norm_lower_bound(T, CayleySpace(F2), budget)
-    # stored and composed fingerprints both pass through _mix
-    monkeypatch.setattr(spaces, "_mix", lambda h: np.zeros(len(h), dtype=np.uint64))
+    hash_rows = spaces._hash
+    monkeypatch.setattr(spaces, "_hash", lambda rows: hash_rows(rows) & np.uint64(mask))
+    monkeypatch.setattr(
+        CayleyWindow, "_compose", lambda self, ids, u: spaces._hash(self._pair_rows(ids, u)[0])
+    )
     union2, window2 = operators._window(T, CayleySpace(F2), budget)
     targets2 = window2.targets(np.arange(window2.size))
     assert window2.points(range(window2.size)) == window.points(range(window.size))
