@@ -582,6 +582,9 @@ def run(
 
     runner = RUNNERS[experiment]
     tpath, wpath, spath = (out.with_suffix(s) for s in (".txt", ".witness.json", ".svg"))
+    if out in (tpath, spath):
+        # the summary or the chart would overwrite the CSV
+        raise ConfigError(f"{out}: the CSV path must not end in .txt or .svg, the sidecars' suffixes")
     try:
         result = runner(config, seed, slack)
     except BudgetExceededError as exc:

@@ -262,11 +262,20 @@ class NormEstimate:
         return same and self.witness == other.witness
 
 
-def _norm(v: np.ndarray) -> np.float64:
-    """Euclidean norm summed by numpy itself; np.linalg.norm goes through BLAS,
-    whose reduction order, and so the last bits, depend on its thread count."""
-    x = v.view(np.float64)  # real and imaginary parts, interleaved
-    return np.sqrt(np.sum(x * x))
+def _norm(size: int, ids: np.ndarray, values: np.ndarray) -> np.float64:
+    """Euclidean norm of the window vector with ``values`` at ``ids``.
+
+    The squares of the real and imaginary parts are summed by numpy over
+    the whole window, interleaved in id order with zeros off the support.
+    numpy's pairwise sum groups its terms by position, so summing only the
+    support's squares, or appending zeros, can change the last bits; and
+    np.linalg.norm goes through BLAS, whose reduction order, and so the last
+    bits, depend on its thread count.
+    """
+    sq = np.zeros((size, 2))
+    x = values.view(np.float64).reshape(-1, 2)
+    sq[ids] = x * x
+    return np.sqrt(np.add.reduce(sq.ravel()))
 
 
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: list | None = None):
@@ -298,20 +307,31 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: lis
     return list(union), last[0][1]
 
 
-def _matvec(window: CayleyWindow, terms: list[tuple[complex, int]], v: np.ndarray) -> np.ndarray:
-    """sum a pi(g) v on the window, for the (a, column of g) pairs ``terms``.
+def _matvec(
+    window: CayleyWindow, terms: tuple[np.ndarray, np.ndarray], ids: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum a pi(g) v on the window, for ``terms``: the coefficients a and the
+    window columns of the g, in T's order; v is stored as its support, the
+    window ``ids`` and their ``values``.
 
-    Only the support of v is moved, term by term in order, and images outside
-    the window are dropped.
+    Returns the result the same way: the sorted ids of the images of v's
+    nonzero entries inside the window, and their values, some of which may
+    cancel to exactly 0.  Exact zeros of v are dropped first, and images
+    outside the window are dropped.  Left translation is injective per
+    symbol, so a term adds at most one product to an image; each image sums
+    its products from +0.0 in T's term order, which gives every entry the
+    bits of a scatter-add over the whole window.  The union of the images
+    is formed by one sort of all of them.
     """
-    nz = np.flatnonzero(v)
-    images, values = window.targets(nz), v[nz]
-    w = np.zeros(len(v), dtype=np.complex128)
-    for a, u in terms:
-        dst = images[:, u]
-        inside = dst >= 0
-        w[dst[inside]] += a * values[inside]  # left translation is injective per symbol
-    return w
+    coefficients, columns = terms
+    nz = values != 0
+    ids, values = ids[nz], values[nz]
+    dst = window.targets(ids)[:, columns].T
+    k, j = np.nonzero(dst >= 0)  # term-major
+    out, at = np.unique(dst[k, j], return_inverse=True)
+    w = np.zeros(len(out), dtype=np.complex128)
+    np.add.at(w, at, coefficients[k] * values[j])  # in order: term by term
+    return out, w
 
 
 def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarray) -> float:
@@ -383,9 +403,22 @@ def norm_lower_bound(
     window reuses it, with the images it has already looked up, as the rows
     of a torsion sweep do, whose conjugates cycle.  Any other row frees the
     old window before closing its own, and the last one is freed when the
-    sweep returns.  Each matvec moves only the
-    iterate's support, term by term in T's order, so nonzero entries are
-    the same as when the whole window is moved.
+    sweep returns.
+
+    The iterate is stored as its support, sorted window ids and their
+    values, and T and T* move only the support (:func:`_matvec`).  Every
+    value equals, bit for bit, that of the same loop run on vectors as long
+    as the window (``tests/oracles.py``), by three rules:
+
+    1. Norms keep the window's length: :func:`_norm` sums the squares over
+       the whole window, with zeros off the support, since numpy's pairwise
+       sum groups its terms by position.
+    2. After the prune, the iterate is renormalised whenever the support
+       does not fill the window, even if no entry was small, since the
+       whole-window loop counts every point off the support as a small
+       zero.
+    3. Each image sums its products from +0.0 in T's term order, and exact
+       zeros are dropped before the next matvec.
 
     ``converged`` means only that the Rayleigh values stagnated below
     ``budget.residual_target``, not that the estimate is close to the norm.
@@ -415,52 +448,57 @@ def norm_lower_bound(
 
     _, window = _window(T, space, budget, _last)
     coefficients = list(T.coefficients.values())
-    fwd = [(a, k) for k, a in enumerate(coefficients)]
-    bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]
+    a = np.array(coefficients, dtype=np.complex128)
+    fwd = a, np.arange(len(a))
+    bwd = a.conj(), window.inverse[: len(a)]
 
-    v = np.zeros(window.size, dtype=np.complex128)
+    n = window.size
     if budget.start_vector is not None:
         start = list(budget.start_vector.coefficients.items())
-        for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
-            if j >= 0:
-                v[j] = c
+        found = window.lookup([x for x, _ in start])
+        inside = np.flatnonzero(found >= 0)
+        order = inside[np.argsort(found[inside])]
+        ids = found[order]
+        v = np.array([c for _, c in start], dtype=np.complex128)[order]
         # a power of two scales exactly, and keeps the squares of _norm in range
-        v *= 2.0 ** min(-math.frexp(np.abs(v.view(np.float64)).max())[1], 1023)
-        nv = _norm(v)
+        v *= 2.0 ** min(-math.frexp(np.abs(v.view(np.float64)).max(initial=0.0))[1], 1023)
+        nv = _norm(n, ids, v)
         if nv == 0:
             raise ValueError("start_vector support misses the explored window")
         v /= nv
     else:
-        v[0] = 1.0
+        ids, v = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
 
     ray: float | None = None  # the latest Rayleigh value
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
-        w = _matvec(window, fwd, v)
-        prev, ray = ray, float(_norm(w) / _norm(v))
+        w_ids, w = _matvec(window, fwd, ids, v)
+        prev, ray = ray, float(_norm(n, w_ids, w) / _norm(n, ids, v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
-        u = _matvec(window, bwd, w)
-        nu = _norm(u)
+        u_ids, u = _matvec(window, bwd, w_ids, w)
+        nu = _norm(n, u_ids, u)
         if nu == 0.0:
             break
-        v = u / nu
+        ids, v = u_ids, u / nu
         if budget.prune_threshold > 0:
             small = np.abs(v) < budget.prune_threshold
-            if small.any():
-                v[small] = 0.0
-                nv = _norm(v)
+            # every window point off the support is a zero, and so small
+            if small.any() or len(ids) < n:
+                keep = ~small
+                ids, v = ids[keep], v[keep]
+                nv = _norm(n, ids, v)
                 if nv == 0.0:
                     break
                 v /= nv
 
-    nz = np.nonzero(v)[0]
-    wv = v[nz]
+    keep = v != 0
+    nz, wv = ids[keep], v[keep]
     # the products and the exactly rounded sum of StateVector.norm
     wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
     if wn > 0:

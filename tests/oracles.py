@@ -207,3 +207,93 @@ def scatter_matvec(targets, terms, v):
         src, dst = maps[u]
         w[dst] += a * v[src]  # left translation is injective per symbol
     return w
+
+
+def dense_norm(v):
+    """Euclidean norm of a whole-window vector, summed by numpy over the
+    interleaved real and imaginary parts."""
+    x = v.view(np.float64)
+    return np.sqrt(np.sum(x * x))
+
+
+def dense_matvec(window, terms, v):
+    """The estimator's matvec on a whole-window vector: the support of v is
+    moved term by term, in order, and images outside the window dropped."""
+    nz = np.flatnonzero(v)
+    images, values = window.targets(nz), v[nz]
+    w = np.zeros(len(v), dtype=np.complex128)
+    for a, u in terms:
+        dst = images[:, u]
+        inside = dst >= 0
+        w[dst[inside]] += a * values[inside]  # left translation is injective per symbol
+    return w
+
+
+def dense_norm_lower_bound(T, space, budget):
+    """``norm_lower_bound`` with the iterate stored as a whole-window vector.
+
+    The same window, start, iteration, pruning and re-certification, with
+    every vector as long as the window: a point off the support is a zero,
+    which the prune counts as small.  Returns a NormEstimate.
+    """
+    from actrep.operators import NormEstimate, _applied_norm, _WitnessWords, _window
+
+    _, window = _window(T, space, budget)
+    coefficients = list(T.coefficients.values())
+    fwd = [(a, k) for k, a in enumerate(coefficients)]
+    bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]
+
+    v = np.zeros(window.size, dtype=np.complex128)
+    if budget.start_vector is not None:
+        start = list(budget.start_vector.coefficients.items())
+        for j, (_, c) in zip(window.lookup([x for x, _ in start]).tolist(), start):
+            if j >= 0:
+                v[j] = c
+        v *= 2.0 ** min(-math.frexp(np.abs(v.view(np.float64)).max())[1], 1023)
+        v /= dense_norm(v)
+    else:
+        v[0] = 1.0
+
+    ray = None
+    residual = math.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, budget.max_iterations + 1):
+        w = dense_matvec(window, fwd, v)
+        prev, ray = ray, float(dense_norm(w) / dense_norm(v))
+        if prev is not None:
+            residual = abs(ray - prev)
+        if residual < budget.residual_target:
+            converged = True
+            break
+        u = dense_matvec(window, bwd, w)
+        nu = dense_norm(u)
+        if nu == 0.0:
+            break
+        v = u / nu
+        if budget.prune_threshold > 0:
+            small = np.abs(v) < budget.prune_threshold
+            if small.any():
+                v[small] = 0.0
+                nv = dense_norm(v)
+                if nv == 0.0:
+                    break
+                v /= nv
+
+    nz = np.nonzero(v)[0]
+    wv = v[nz]
+    wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
+    if wn > 0:
+        images = window.images(np.arange(len(coefficients)), nz)
+        lower = _applied_norm(coefficients, images, wv) / wn
+    else:
+        lower = 0.0
+    return NormEstimate(
+        lower_bound=lower,
+        iterations=iterations,
+        residual=residual,
+        support_size=len(nz),
+        radius_hint=int(window.depth[nz].max(initial=0)),
+        converged=converged,
+        _witness=_WitnessWords(space, *window.codes(nz), wv),
+    )

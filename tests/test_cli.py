@@ -672,3 +672,24 @@ def test_run_without_svg_removes_an_earlier_chart(tmp_path):
     assert main(["orbits", "--config", cfg, "--out", str(out)]) == EXIT_PASS
     assert "verdict: PASS" in out.with_suffix(".txt").read_text()
     assert not out.with_suffix(".svg").exists()
+
+
+ORBITS_CFG = "presentation.orders = inf, inf\nexperiment = orbits\nsubgroup = a\nbudgets.R = 2\n"
+
+
+@pytest.mark.parametrize(
+    "extra, output",
+    [(["--out", "run.txt"], None), (["--out", "run.svg", "--svg"], None), ([], "run.txt")],
+    ids=["out-txt", "out-svg", "output-path-txt"],
+)
+def test_csv_path_with_a_sidecar_suffix_exit_3(tmp_path, capsys, monkeypatch, extra, output):
+    # the summary (.txt) or the chart (.svg) would overwrite the CSV
+    monkeypatch.chdir(tmp_path)
+    text = ORBITS_CFG + (f"output.path = {output}\n" if output else "")
+    write_config(tmp_path, text)
+    assert main(["orbits", "--config", "exp.cfg", *extra]) == EXIT_USAGE
+    path = output or extra[1]
+    assert capsys.readouterr().err == (
+        f"error: {path}: the CSV path must not end in .txt or .svg, the sidecars' suffixes\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]

@@ -23,7 +23,14 @@ from actrep.operators import (
 from actrep import operators, spaces
 from actrep.spaces import CayleySpace, CayleyWindow
 
-from oracles import dense_compression_norm, inner, reference_window, scatter_matvec
+from oracles import (
+    dense_compression_norm,
+    dense_norm,
+    dense_norm_lower_bound,
+    inner,
+    reference_window,
+    scatter_matvec,
+)
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -443,23 +450,111 @@ def test_full_window_resolves_only_the_rows_the_iterate_reaches():
     assert np.count_nonzero(window._targets[:, 0] != spaces._UNRESOLVED) <= 6_000
 
 
+def _terms(T, union):
+    """The forward and backward terms of T for ``operators._matvec``."""
+    slot = {g: u for u, g in enumerate(union)}
+    a = np.array(list(T.coefficients.values()))
+    fwd = a, np.array([slot[g] for g in T.coefficients])
+    bwd = a.conj(), np.array([slot[g.inverse()] for g in T.coefficients])
+    return fwd, bwd
+
+
 def test_support_matvec_matches_scatter_add_over_the_window():
-    # moving only the iterate's support gives the same nonzero entries, bit for bit
+    # moving only the support, and summing each image from +0.0 in term
+    # order, gives the scatter-add over the whole window bit for bit; the
+    # result's ids are the images of the nonzero entries inside the window
     rng = np.random.default_rng(6)
     for T, space, budget in _window_cases():
         # a fresh window, so that the first matvec resolves its rows itself
         union, window = operators._window(T, CayleySpace(space.presentation), budget)
-        slot = {g: u for u, g in enumerate(union)}
-        fwd = [(a, slot[g]) for g, a in T.coefficients.items()]
-        bwd = [(a.conjugate(), slot[g.inverse()]) for g, a in T.coefficients.items()]
+        everywhere = np.arange(window.size)
         for density in (0.05, 0.3, 1.0):
             v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
             v[rng.random(window.size) >= density] = 0.0
-            for terms in (fwd, bwd):
-                got = operators._matvec(window, terms, v)
-                want = scatter_matvec(window.targets(np.arange(window.size)), terms, v)
-                assert np.array_equal(got != 0, want != 0)
-                assert got[want != 0].tobytes() == want[want != 0].tobytes()
+            for a, columns in _terms(T, union):
+                ids, w = operators._matvec(window, (a, columns), everywhere, v)
+                got = np.zeros(window.size, dtype=np.complex128)
+                got[ids] = w
+                want = scatter_matvec(window.targets(everywhere), zip(a.tolist(), columns), v)
+                assert got.tobytes() == want.tobytes()
+                images = window.targets(np.flatnonzero(v))[:, columns]
+                assert np.array_equal(ids, np.unique(images[images >= 0]))
+
+
+def _assert_same_estimate(got, want):
+    assert got.lower_bound.hex() == want.lower_bound.hex()
+    assert got.residual.hex() == want.residual.hex()
+    for name in ("iterations", "support_size", "radius_hint", "converged"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("rows", "lens", "values"):
+        assert getattr(got._witness, name).tobytes() == getattr(want._witness, name).tobytes()
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-8, 0.5])
+def test_norm_lower_bound_matches_the_dense_loop(prune):
+    # the iterate stored as its support gives the estimate of the loop over
+    # whole-window vectors bit for bit, pruned or not
+    for T, space, budget in _window_cases():
+        budget = replace(budget, prune_threshold=prune)
+        _assert_same_estimate(norm_lower_bound(T, space, budget), dense_norm_lower_bound(T, space, budget))
+    conj = conjugate_sequence(B, A, 4)
+    T = FormalOperator(F2, {c: complex(0.25, 0.05 * i) for i, c in enumerate(conj)})
+    start = StateVector(SPACE, {E: 0.5, conj[0]: 0.25 - 0.5j, A ** 3: -1j, A ** 40: 3.0})
+    for budget in (
+        NormBudget(max_iterations=40, support_cap=3000, prune_threshold=prune),
+        NormBudget(max_iterations=40, support_cap=3000, prune_threshold=prune, start_vector=start),
+    ):
+        _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
+
+
+def test_norm_lower_bound_matches_the_dense_loop_on_a_filled_window(monkeypatch):
+    # once the support fills the window and no entry is small, neither loop
+    # renormalises after the prune: three norms per iteration, not four
+    s, t = Z2Z3.generators()
+    T = FormalOperator(Z2Z3, {s: 0.5, t: 0.25, t * s: 0.25j})
+    budget = NormBudget(max_iterations=30, support_cap=9, residual_target=0.0)
+    est = norm_lower_bound(T, S23, budget)
+    _assert_same_estimate(est, dense_norm_lower_bound(T, S23, budget))
+    assert est.support_size == 9
+    calls = []
+    norm = operators._norm
+    monkeypatch.setattr(operators, "_norm", lambda *args: calls.append(1) or norm(*args))
+    norm_lower_bound(T, S23, budget)
+    assert 3 * est.iterations <= len(calls) < 4 * est.iterations - 10
+
+
+def test_norm_lower_bound_matches_the_dense_loop_when_an_entry_cancels():
+    # T = e + a from delta_e - delta_{a^-1}: T v = delta_a - delta_{a^-1},
+    # and the entry at e cancels to exactly 0 and leaves the support
+    T = FormalOperator(F2, {E: 1.0, A: 1.0})
+    budget = NormBudget(max_iterations=20, support_cap=200,
+                        start_vector=StateVector(SPACE, {E: 1.0, A.inverse(): -1.0}))
+    union, window = operators._window(T, SPACE, budget)
+    ids = window.lookup([E, A.inverse()])
+    out, w = operators._matvec(window, _terms(T, union)[0], ids, np.array([1.0, -1.0], dtype=complex))
+    assert out[0] == 0 and w[0] == 0 and np.count_nonzero(w) == 2
+    _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
+
+
+def test_support_norm_equals_the_whole_window_norm():
+    # the support's squares, scattered into the whole window, sum to the
+    # bits of the norm of the whole-window vector; supports at the end too
+    rng = np.random.default_rng(8)
+    for size in (1, 7, 20, 129, 1000, 6000):
+        for k in sorted({0, 1, min(3, size), size // 2, size}):
+            for ids in (np.sort(rng.choice(size, k, replace=False)), np.arange(size - k, size)):
+                values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                dense = np.zeros(size, dtype=np.complex128)
+                dense[ids] = values
+                assert operators._norm(size, ids, values).hex() == dense_norm(dense).hex()
+    # numpy's pairwise sum groups terms by position: summed alone, the
+    # support's squares give other bits than the window's
+    ids, values = np.array([3, 11, 19]), np.array([-1.288 + 0.696j, 0.395 - 1.184j, 0.43 - 0.662j])
+    dense = np.zeros(20, dtype=np.complex128)
+    dense[ids] = values
+    x = values.view(np.float64)
+    assert operators._norm(20, ids, values).hex() == dense_norm(dense).hex()
+    assert np.sqrt(np.sum(x * x)).hex() != dense_norm(dense).hex()
 
 
 def test_norm_lower_bound_equals_exact_reapplication():
