@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .groups import (
     INFINITE,
     FreeProductPresentation,
@@ -34,7 +36,15 @@ from .operators import (
     StateVector,
     triangle_upper_bound,
 )
-from .spaces import FALSIFIED, INCONCLUSIVE, PASS, BudgetExceededError, CayleySpace, orbit_decompose
+from .spaces import (
+    FALSIFIED,
+    INCONCLUSIVE,
+    PASS,
+    BudgetExceededError,
+    CayleySpace,
+    CayleyWindow,
+    orbit_labels,
+)
 from .dynamics import (
     DEFAULT_SLACK,
     EnvelopeReport,
@@ -338,7 +348,14 @@ def _witness_payload(experiment: str, row: EnvelopeRow) -> dict:
 
 def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBudget:
     """The estimator budget; a seed adds a random start vector supported on
-    the base point and its images under ``symbols``."""
+    the base point and its images under ``symbols``.
+
+    The draws go to the points in the iteration order of ``symbols``.  The
+    runners pass ``T.support``, a set, whose order follows
+    ``GroupElement.__hash__``, so a seeded run's output bytes depend on that
+    hash.  It is the same in every process (a tuple of ints is not salted),
+    but a change to it would move every seeded estimate.
+    """
     start = None
     if seed is not None:
         rng = random.Random(seed)
@@ -424,18 +441,17 @@ def run_orbits(config: ExperimentConfig, seed: int | None, slack: float) -> Expe
     gens = [parse_word(text, config.presentation) for text in config.subgroup]
     if not gens:
         raise ConfigError("orbits experiment needs a 'subgroup' key with generator words")
-    ball = space.enumerate_ball(space.base_point, config.budgets.R)
-    dec = orbit_decompose(space, gens, ball)
-    sizes = [0] * len(dec.representatives)
-    for label in dec.membership.values():
-        sizes[label] += 1
+    codes, lens = space.ball_codes(config.budgets.R)
+    reps, piece = orbit_labels(config.presentation, gens, codes, lens)
+    sizes = np.bincount(piece).tolist()
     rows = [(i, 0.0, float(size), 0.0, size, True, PASS) for i, size in enumerate(sizes)]
+    shown = CayleyWindow.decode(config.presentation, codes[reps[:12]], lens[reps[:12]])
     summary = [
-        f"orbits: {len(dec.representatives)} orbit pieces on the radius-{config.budgets.R} ball "
-        f"({len(ball)} points)",
+        f"orbits: {len(reps)} orbit pieces on the radius-{config.budgets.R} ball "
+        f"({len(lens)} points)",
         "representatives: "
-        + ", ".join(r.render() for r in dec.representatives[:12])
-        + ("..." if len(dec.representatives) > 12 else ""),
+        + ", ".join(r.render() for r in shown)
+        + ("..." if len(reps) > 12 else ""),
     ]
     return ExperimentResult(rows, PASS, summary)
 

@@ -20,6 +20,8 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (
     DegenerateInputError,
     FreeProductPresentation,
@@ -36,7 +38,7 @@ from .operators import (
     _fsum_complex,
     norm_lower_bound,
 )
-from .spaces import FALSIFIED, INCONCLUSIVE, PASS, CayleySpace, Point
+from .spaces import FALSIFIED, INCONCLUSIVE, PASS, CayleySpace, CayleyWindow, Point
 
 DEFAULT_SLACK = 1e-9
 
@@ -461,27 +463,42 @@ def check_Wj_disjoint(
     collision between distinct j exhibits a nontrivial abstract word
     v^-1 g^(j-k) u whose image is the identity.  The action is free, so the
     collisions would be the same at any other base point.
+
+    The action is a homomorphism, so the point of g^j u is g^j times u's
+    image.  The images are held in a window acted on by g^-J .. g^J, and
+    the points of all (j, u), j-major, are labelled equal exactly when they
+    are equal (``CayleyWindow._label``).  A point collides when the first
+    (j, u) with its label has another j; only collisions are built as group
+    elements.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
     words, images = _ball or _pair_ball(h, g, L)
-    gbar = words[0].presentation.generator(1)
-    w0 = [(u, ux) for u, ux in zip(words, images) if not first_syllable_in(u, 1)]
-    seen: dict[Point, tuple[int, GroupElement]] = {}
+    w0 = [i for i, u in enumerate(words) if not first_syllable_in(u, 1)]
+    words, images = [words[i] for i in w0], [images[i] for i in w0]
+    n, pres = len(words), h.presentation
+    powers = [g ** j for j in range(-J, J + 1)]
+    rows, lens = CayleyWindow.encode(pres, images)
+    window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), rows, lens)
+    # item (j + J) * n + i is the point of g^j times word i
+    label = window._label(np.repeat(np.arange(2 * J + 1), n), np.tile(ids, 2 * J + 1))
+    first = np.unique(label, return_index=True)[1][label]  # the first item with each label
+    clash = np.flatnonzero(first // n != np.arange(len(label)) // n)
     collisions: list[WjCollision] = []
-    for j in range(-J, J + 1):
-        gj = g ** j
-        # the action is a homomorphism: the point of g^j u is g^j times u's image
-        for u, ux in w0:
-            point = gj * ux
-            prev = seen.get(point)
-            if prev is None:
-                seen[point] = (j, u)
-            elif prev[0] != j:
-                k, v = prev
-                witness = v.inverse() * (gbar ** (j - k)) * u
-                collisions.append(WjCollision(j, u, k, v, point, witness))
-    return WjDisjointReport(words_tested=len(w0), collisions=collisions, disjoint=not collisions)
+    if clash.size:
+        gbar = words[0].presentation.generator(1)
+        shifts = [gbar ** d for d in range(-2 * J, 2 * J + 1)]
+        points: dict[int, Point] = {}  # by label
+        heads: dict[tuple[int, int], GroupElement] = {}  # v^-1 gbar^(j-k), by (v, j - k)
+        for t, t0, x in zip(clash.tolist(), first[clash].tolist(), label[clash].tolist()):
+            (a, i), (b, i0) = divmod(t, n), divmod(t0, n)
+            u, v = words[i], words[i0]
+            if x not in points:
+                points[x] = powers[b] * images[i0]
+            if (i0, a - b) not in heads:
+                heads[i0, a - b] = v.inverse() * shifts[a - b + 2 * J]
+            collisions.append(WjCollision(a - J, u, b - J, v, points[x], heads[i0, a - b] * u))
+    return WjDisjointReport(words_tested=n, collisions=collisions, disjoint=not collisions)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """The Cayley graph of a free product, acted on by left multiplication.
 
 The group acts on itself, freely and isometrically for the word metric of
-the standard generating set.  Balls are enumerated lazily and
-deterministically; orbit decompositions are budget-relative: they certify
-what a finite ball shows and never claim more.  The action is free, so it is
-faithful by construction and no check of it is needed.  The norm estimator's
-windows are integer-indexed stores of reduced words (:class:`CayleyWindow`);
+the standard generating set.  Balls are enumerated deterministically, as
+group elements (:meth:`CayleySpace.enumerate_ball`) or as rows of integer
+codes in the same order (:meth:`CayleySpace.ball_codes`); orbit
+decompositions are budget-relative: they certify what a finite ball shows
+and never claim more.  The action is free, so it is faithful by
+construction and no check of it is needed.  Integer-indexed stores of
+reduced words (:class:`CayleyWindow`) hold the norm estimator's windows,
+the balls of the orbit decomposition and the translates of the W_j check;
 the space keeps none of them.
 """
 
@@ -83,13 +86,31 @@ class CayleySpace:
                     y = x * s
                     if y not in seen:
                         if len(seen) >= self.ball_cap:
-                            raise BudgetExceededError(
-                                f"ball enumeration exceeded cap of {self.ball_cap} points"
-                            )
+                            raise self._cap_exceeded()
                         seen[y] = None
                         nxt.append(y)
             frontier = nxt
         return list(seen)
+
+    def ball_codes(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of syllable codes and lengths of the points at distance <=
+        radius from the base point, in :meth:`enumerate_ball`'s order.
+
+        A window acted on by the inverse moves closes breadth first on the
+        inverses of the ball's words: s^-1 x^-1 = (x s)^-1, so its ids are in
+        :meth:`enumerate_ball`'s order, and its rows are inverted as codes.
+        """
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        inverses = [m.inverse() for m in self._moves]
+        window = CayleyWindow(self.presentation, inverses, [inverses.index(m) for m in self._moves])
+        window.close(radius, self.ball_cap + 1)
+        if window.size > self.ball_cap:
+            raise self._cap_exceeded()
+        return window.inverse_codes()
+
+    def _cap_exceeded(self) -> BudgetExceededError:
+        return BudgetExceededError(f"ball enumeration exceeded cap of {self.ball_cap} points")
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +205,17 @@ def _group(fp: np.ndarray, rows_of, step: int) -> tuple[np.ndarray, np.ndarray]:
 class CayleyWindow:
     """A finite, integer-indexed set of points of a Cayley space.
 
-    This is the one place that decides how the norm estimator represents
-    points.  A reduced word is a row of int64 syllable codes
+    This is the one place that decides how points are represented as
+    integers, for the norm estimator, the orbit decomposition and the W_j
+    check alike.  A reduced word is a row of int64 syllable codes
     ``exponent * rank + factor`` (never 0), zero-padded to the store width,
     which always keeps at least one zero column.  Points get consecutive ids
     in the order they join.  ``symbols`` are the group elements the window
     is acted on by, addressed by their position.  The window starts as the
-    identity alone, with id 0, and :meth:`close` grows it until it is full;
-    from then on the images of a point under the symbols are resolved the
-    first time :meth:`targets` is asked for them.  The symbols are closed
+    identity alone, with id 0, and :meth:`close` grows it until it is full,
+    or :meth:`holding` fills it with given words; from then on the images
+    of a point under the symbols are resolved the first time
+    :meth:`targets` is asked for them.  The symbols are closed
     under inversion: ``inverse[u]`` is the position of the inverse of symbol
     ``u``, so no symbol is inverted here.
 
@@ -216,14 +239,14 @@ class CayleyWindow:
         self.presentation = presentation
         self._rank = presentation.rank
         self._orders = np.asarray(presentation.factor_orders, dtype=np.int64)
-        self._sym, self._sym_len = self._pack([self._encode(g) for g in symbols])
+        self._sym, self._sym_len = self.encode(presentation, symbols)
         self.inverse = np.asarray(inverse, dtype=np.int64)
         self._sym_inv = self._sym[self.inverse]
         self._sym_prefix = _prefix_hashes(self._sym)
         self._inv_prefix = _prefix_hashes(self._sym_inv)
         self._pow = _powers(self._sym.shape[1])
         self._pow_inv = _powers(self._sym.shape[1], _B_INV)
-        self._rows, self._len = self._pack([[]])  # the identity, an empty word
+        self._rows, self._len = self.encode(presentation, [presentation.identity()])
         self._width = 1  # columns in use: the longest stored word and a zero
         self._hx = _hash(self._rows)
         self._depth = np.zeros(1, dtype=np.int64)
@@ -233,20 +256,26 @@ class CayleyWindow:
 
     # -- encoding --------------------------------------------------------
 
-    def _encode(self, x: GroupElement) -> list[int]:
-        if x.presentation != self.presentation:
-            raise PresentationMismatchError("point of a different presentation")
-        codes = [e * self._rank + f for f, e in x.syllables]
-        if any(abs(c) > _INT64_MAX for c in codes):
-            raise OverflowError(_OVERFLOW)
-        return codes
-
     @staticmethod
-    def _pack(codes: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-        lens = np.array([len(c) for c in codes], dtype=np.int64)
-        rows = np.zeros((len(codes), int(lens.max(initial=0)) + 1), dtype=np.int64)
-        for row, c in zip(rows, codes):
-            row[: len(c)] = c
+    def encode(
+        presentation: FreeProductPresentation, points: Sequence[GroupElement]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of syllable codes and lengths of the given group elements, as
+        a window stores them; the inverse of :meth:`decode`."""
+        R = presentation.rank
+        sizes: list[int] = []
+        codes: list[int] = []
+        for x in points:
+            if x.presentation is not presentation and x.presentation != presentation:
+                raise PresentationMismatchError("point of a different presentation")
+            sizes.append(len(x.syllables))
+            codes += [e * R + f for f, e in x.syllables]
+        if codes and max(max(codes), -min(codes)) > _INT64_MAX:
+            raise OverflowError(_OVERFLOW)
+        lens = np.array(sizes, dtype=np.int64)
+        rows = np.zeros((len(sizes), int(lens.max(initial=0)) + 1), dtype=np.int64)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        rows[np.repeat(np.arange(len(sizes)), lens), np.arange(len(codes)) - starts] = codes
         return rows, lens
 
     def _words(self, ids) -> np.ndarray:
@@ -281,12 +310,36 @@ class CayleyWindow:
             for row, n in zip(rows.tolist(), lens.tolist())
         ]
 
+    @classmethod
+    def holding(
+        cls,
+        presentation: FreeProductPresentation,
+        symbols: Sequence[GroupElement],
+        inverse: Sequence[int],
+        rows: np.ndarray,
+        lens: np.ndarray,
+    ) -> tuple["CayleyWindow", np.ndarray]:
+        """A full window acted on by ``symbols`` that holds the given words,
+        and the id of each word.
+
+        The identity keeps id 0 and the other words join in first-occurrence
+        order.  Nothing is expanded, so :meth:`targets` resolves the symbol
+        targets of every point on demand.  Each image merges one symbol
+        exponent into one word exponent; codes that could leave int64 that
+        way raise OverflowError.
+        """
+        window = cls(presentation, symbols, inverse)
+        ids = window._intern(rows, lens, len(lens), 0)
+        window._check_reach(window._max_exponent(window._sym) + window._max_exponent(rows))
+        window.close(0, window.size)  # at depth 0 the window is full at once
+        return window, ids
+
     def lookup(self, points: Sequence[Point]) -> np.ndarray:
         """The id of each point, or -1 where it is not in the window."""
         ids = np.full(len(points), -1, dtype=np.int64)
         mine = [i for i, x in enumerate(points) if x.presentation == self.presentation]
         if mine:
-            rows, lens = self._pack([self._encode(points[i]) for i in mine])
+            rows, lens = self.encode(self.presentation, [points[i] for i in mine])
             ids[mine] = self._find(_hash(rows), lambda idx: (rows[idx], lens[idx]))
         return ids
 
@@ -351,9 +404,10 @@ class CayleyWindow:
         capacity, width = self._rows.shape
         if n + k > capacity:
             capacity = max(n + k, min(2 * capacity, limit))
-            self._len = np.resize(self._len, capacity)
-            self._hx = np.resize(self._hx, capacity)
-            self._depth = np.resize(self._depth, capacity)
+            self._len, self._hx, self._depth = (
+                np.concatenate([a, np.zeros(capacity - len(a), a.dtype)])
+                for a in (self._len, self._hx, self._depth)
+            )
         if self._width > width:
             width = max(self._width, width + int(width * _WIDTH_GROWTH))
         if (capacity, width) != self._rows.shape:
@@ -373,14 +427,41 @@ class CayleyWindow:
 
     # -- the action ------------------------------------------------------
 
+    def _code(self, f: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Codes of the syllables of factors ``f`` and exponents ``e``, each
+        exponent brought to its factor's canonical range."""
+        order = self._orders[f]
+        e = np.where(order > 0, e % np.maximum(order, 1), e)
+        return e * self._rank + f
+
     def _merged(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Codes of the syllables that merge codes ``a`` and ``b`` of one factor."""
         R = self._rank
-        f = a % R
-        e = a // R + b // R
-        order = self._orders[f]
-        e = np.where(order > 0, e % np.maximum(order, 1), e)
-        return e * R + f
+        return self._code(a % R, a // R + b // R)
+
+    def inverse_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and lengths of the inverses of all points, in id order: each
+        word is reversed and each exponent negated into its factor's range.
+        The rows are built a column at a time, so no transient array is
+        longer than one column."""
+        R = self._rank
+        lens = self._len[: self.size].copy()
+        rows = np.zeros((self.size, self._width), dtype=np.int64)
+        for j in range(self._width - 1):
+            live = np.flatnonzero(lens > j)
+            c = self._rows[live, lens[live] - 1 - j]
+            rows[live, j] = self._code(c % R, -(c // R))
+        return rows, lens
+
+    def _check_reach(self, reach: int) -> None:
+        """Raise OverflowError unless syllable exponents up to ``reach`` in
+        absolute value have int64 codes."""
+        if (reach + 1) * self._rank > _INT64_MAX:
+            raise OverflowError(_OVERFLOW)
+
+    def _max_exponent(self, rows: np.ndarray) -> int:
+        """The largest absolute syllable exponent in rows of codes."""
+        return int(np.abs(rows // self._rank).max(initial=0))
 
     def _act(self, X: np.ndarray, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and lengths of symbol ``u[i, j]`` applied to the word in row ``X[i]``.
@@ -487,11 +568,7 @@ class CayleyWindow:
         most ``min(max_depth, cap) + 1`` multiplications from the identity;
         codes that could leave int64 on the way raise OverflowError up front.
         """
-        R = self._rank
-        steps = min(max_depth, cap) + 1
-        reach = steps * int(np.abs(self._sym // R).max(initial=0))
-        if (reach + 1) * R > _INT64_MAX:
-            raise OverflowError(_OVERFLOW)
+        self._check_reach((min(max_depth, cap) + 1) * self._max_exponent(self._sym))
         blocks: list[np.ndarray] = []
         i, hi = 0, 1  # the next point to expand, and the end of its level
         while i < self.size and self.size < cap and self._depth[i] < max_depth:
@@ -565,16 +642,60 @@ class CayleyWindow:
 
 @dataclass
 class OrbitDecomposition:
-    """Greedy orbit labelling of an enumerated ball.
+    """Orbit labelling of a finite set of points, such as a ball.
 
-    ``representatives[i]`` is the first enumerated point of the i-th orbit
-    piece; ``membership`` labels every ball point with its piece index.
-    Pieces are orbit intersections with the ball, connected through moves
-    that stay inside the ball.
+    ``representatives[i]`` is the first listed point of the i-th orbit
+    piece; ``membership`` labels every point with its piece index.  Pieces
+    are orbit intersections with the set, connected through moves that stay
+    inside it; :func:`orbit_labels` finds them on integer rows.
     """
 
     representatives: list[Point]
     membership: dict[Point, int]
+
+
+def orbit_labels(
+    presentation: FreeProductPresentation,
+    subgroup_generators: Sequence[GroupElement],
+    rows: np.ndarray,
+    lens: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit pieces of the generated subgroup on distinct points, given as
+    rows of syllable codes and lengths (:meth:`CayleyWindow.encode`).
+
+    The points are held in a window acted on by the generators and their
+    inverses, and two points are joined when a move maps one to the other.
+    The pieces are the connected components, found by propagating the least
+    index over the joins, with pointer jumping.  The least index of a piece
+    is its first point, so a piece's representative is the one the greedy
+    scan in listing order picks.  Returns the representatives' indices in
+    increasing order, and the piece of every point.
+    """
+    n = len(lens)
+    moves: list[GroupElement] = []
+    for g in subgroup_generators:
+        for m in (g, g.inverse()):
+            if m not in moves:
+                moves.append(m)
+    if not moves:  # the trivial subgroup: no symbols, so no window targets
+        return np.arange(n), np.arange(n)
+    window, ids = CayleyWindow.holding(
+        presentation, moves, [moves.index(m.inverse()) for m in moves], rows, lens
+    )
+    index = np.full(window.size + 1, -1, dtype=np.int64)  # a missing target, -1, maps to -1
+    index[ids] = np.arange(n)
+    joins = index[window.targets(ids)]
+    del window
+    outside = joins < 0
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, np.where(outside, n, label[joins]).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    first = label == np.arange(n)
+    return np.flatnonzero(first), (np.cumsum(first) - 1)[label]
 
 
 def orbit_decompose(
@@ -587,32 +708,11 @@ def orbit_decompose(
     Representatives are chosen greedily in enumeration order: the first point
     not yet claimed starts a new piece, whose membership is the closure of
     the representative under the generators and their inverses, intersected
-    with the ball.
+    with the ball.  The work is :func:`orbit_labels` on the ball's codes.
     """
     if not ball:
         raise ValueError("ball must be nonempty")
-    moves: list[GroupElement] = []
-    for g in subgroup_generators:
-        for m in (g, g.inverse()):
-            if m not in moves:
-                moves.append(m)
-    in_ball = set(ball)
-    membership: dict[Point, int] = {}
-    representatives: list[Point] = []
-    for p in ball:
-        if p in membership:
-            continue
-        label = len(representatives)
-        representatives.append(p)
-        membership[p] = label
-        frontier = [p]
-        while frontier:
-            nxt: list[Point] = []
-            for x in frontier:
-                for s in moves:
-                    y = space.apply(s, x)
-                    if y in in_ball and y not in membership:
-                        membership[y] = label
-                        nxt.append(y)
-            frontier = nxt
-    return OrbitDecomposition(representatives, membership)
+    points = list(dict.fromkeys(ball))
+    rows, lens = CayleyWindow.encode(space.presentation, points)
+    reps, piece = orbit_labels(space.presentation, subgroup_generators, rows, lens)
+    return OrbitDecomposition([points[i] for i in reps.tolist()], dict(zip(points, piece.tolist())))

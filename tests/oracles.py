@@ -191,6 +191,40 @@ def reference_trivial_words(h, g, L, R):
     return trivial
 
 
+def reference_orbit_decompose(space, subgroup_generators, ball):
+    """The orbit pieces of ``orbit_decompose`` by the greedy breadth-first
+    scan on group elements: the first point not yet claimed starts a piece,
+    which claims its closure under the moves inside the ball.
+    """
+    from actrep.spaces import OrbitDecomposition
+
+    moves = []
+    for g in subgroup_generators:
+        for m in (g, g.inverse()):
+            if m not in moves:
+                moves.append(m)
+    in_ball = set(ball)
+    membership = {}
+    representatives = []
+    for p in ball:
+        if p in membership:
+            continue
+        label = len(representatives)
+        representatives.append(p)
+        membership[p] = label
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in moves:
+                    y = space.apply(s, x)
+                    if y in in_ball and y not in membership:
+                        membership[y] = label
+                        nxt.append(y)
+            frontier = nxt
+    return OrbitDecomposition(representatives, membership)
+
+
 def scatter_matvec(targets, terms, v):
     """The estimator's matvec as a scatter-add over the whole window.
 

@@ -550,6 +550,25 @@ def test_int64_overflowing_exponent_exit_3(tmp_path, capsys, exponent):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, body",
+    [
+        ("orbits", "subgroup = a^4611686018427387904\nbudgets.R = 2\n"),  # 2^62
+        ("pingpong", "elements.h = a\nelements.g = b^1152921504606846976\n"),  # 2^60, J = 8
+    ],
+)
+def test_int64_overflowing_exponent_exit_3_off_the_estimator(tmp_path, capsys, experiment, body):
+    # orbits and pingpong hold their points in the integer window too
+    cfg = write_config(
+        tmp_path, f"presentation.orders = inf, inf\nexperiment = {experiment}\n{body}"
+    )
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: syllable exponents too large for the integer window")
+    assert not out.exists()
+
+
 def test_huge_coefficients_exit_3(tmp_path, capsys):
     # the iteration would overflow float64 and run on NaN
     cfg = write_config(

@@ -594,17 +594,18 @@ def test_wj_degenerate_pair_collides():
 
 
 def test_wj_collisions_match_direct_evaluation():
-    # each W_0 word is evaluated once and then translated; the direct loop
-    # evaluates every translated word on its own
-    total = 0
-    for h, g in PAIRS:
-        rep = check_Wj_disjoint(h, g, 5, 6)
-        got = [(c.j, c.u, c.k, c.v, c.point, c.witness_abstract) for c in rep.collisions]
-        assert got == reference_Wj_collisions(h, g, 5, 6)
-        for c in rep.collisions:
-            assert evaluate_pair_word(c.witness_abstract, (h, g)).is_identity
-        total += len(got)
-    assert total > 0
+    # each W_0 word is evaluated once and its translates are labelled in a
+    # window; the direct loop evaluates every translated word on its own
+    for J, L in ((5, 6), (1, 5), (7, 3)):
+        total = 0
+        for h, g in PAIRS:
+            rep = check_Wj_disjoint(h, g, J, L)
+            got = [(c.j, c.u, c.k, c.v, c.point, c.witness_abstract) for c in rep.collisions]
+            assert got == reference_Wj_collisions(h, g, J, L), (h, g, J, L)
+            for c in rep.collisions:
+                assert evaluate_pair_word(c.witness_abstract, (h, g)).is_identity
+            total += len(got)
+        assert total > 0
 
 
 def test_pingpong_free_pair_passes():

@@ -624,7 +624,7 @@ def test_window_inverts_symbols_by_position(monkeypatch):
     for T, space in cases:
         union, window = operators._window(T, CayleySpace(space.presentation), NormBudget(2, 20))
         assert len(union) == len(set(union))
-        encoded, _ = window._pack([window._encode(g.inverse()) for g in union])
+        encoded, _ = window.encode(window.presentation, [g.inverse() for g in union])
         assert np.array_equal(window._sym_inv, encoded)
         assert [union[i] for i in window.inverse] == [g.inverse() for g in union]
     assert operators._window(cases[1][0], CayleySpace(Z2Z3), NormBudget(2, 20))[0].count(s) == 1

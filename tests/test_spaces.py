@@ -6,14 +6,18 @@ from actrep.groups import INFINITE, free_group, free_product
 from actrep.spaces import (
     BudgetExceededError,
     CayleySpace,
+    CayleyWindow,
     orbit_decompose,
 )
+from oracles import reference_orbit_decompose
 
 F2 = free_group(2)
 A, B = F2.generators()
 E = F2.identity()
 
 Z2Z3 = free_product([2, 3], names=("s", "t"))
+Z3Z4 = free_product([3, 4])
+ZZ3 = free_product([INFINITE, 3])
 
 
 def random_element(rng, presentation, max_len):
@@ -99,6 +103,22 @@ def test_ball_cap():
         space.enumerate_ball(E, 3)
 
 
+@pytest.mark.parametrize("pres", [F2, Z2Z3, Z3Z4, ZZ3], ids=["F2", "Z2Z3", "Z3Z4", "ZZ3"])
+def test_ball_codes_decode_to_enumerate_ball(pres):
+    # the inverted window rows are the ball's words, canonical and in order
+    space = CayleySpace(pres)
+    for r in range(6):
+        ball = space.enumerate_ball(space.base_point, r)
+        assert CayleyWindow.decode(pres, *space.ball_codes(r)) == ball
+        # the cap binds exactly when the ball outgrows it, as in enumerate_ball
+        assert len(CayleySpace(pres, ball_cap=len(ball)).ball_codes(r)[1]) == len(ball)
+        if len(ball) > 1:
+            with pytest.raises(BudgetExceededError, match=f"cap of {len(ball) - 1} points"):
+                CayleySpace(pres, ball_cap=len(ball) - 1).ball_codes(r)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        space.ball_codes(-1)
+
+
 def test_ball_deterministic_order():
     space = CayleySpace(F2)
     again = CayleySpace(F2)
@@ -148,6 +168,41 @@ def test_orbit_decompose_cyclic_subgroup_matches_coset_oracle():
         assert dec.membership[rep] == i
     # one label per <a>-coset meeting the ball: e, b, b^-1 head the big ones
     assert dec.representatives[:3] == [E, B, B.inverse()]
+
+
+@pytest.mark.parametrize("pres", [F2, Z2Z3, Z3Z4], ids=["F2", "Z2Z3", "Z3Z4"])
+def test_orbit_decompose_matches_bfs_oracle(pres):
+    # random subgroups on balls around random centres, so the identity may
+    # be missing from the ball or not come first; and the degenerate
+    # generator lists
+    rng = random.Random(4242)
+    space = CayleySpace(pres)
+    e = pres.identity()
+    for trial in range(16):
+        g, h = random_element(rng, pres, 3), random_element(rng, pres, 3)
+        center = random_element(rng, pres, 2) if trial % 2 else e
+        ball = space.enumerate_ball(center, rng.randrange(1, 4))
+        for gens in ([g], [g, h], [h * g, g * g, h], [e], [g, g], [g, g.inverse()], [e, g], []):
+            got = orbit_decompose(space, gens, ball)
+            want = reference_orbit_decompose(space, gens, ball)
+            assert got.representatives == want.representatives, (gens, center)
+            assert got.membership == want.membership, (gens, center)
+
+
+def test_orbit_decompose_repeated_points():
+    # a point listed twice counts once, where it is first listed
+    space = CayleySpace(F2)
+    ball = [A, B, E, A, B * A]
+    dec = orbit_decompose(space, [A], ball)
+    assert dec == reference_orbit_decompose(space, [A], ball)
+    assert dec.representatives == [A, B, B * A]
+    assert dec.membership[E] == 0
+
+
+def test_orbit_decompose_rejects_overflowing_generators():
+    space = CayleySpace(F2)
+    with pytest.raises(OverflowError, match="too large for the integer window"):
+        orbit_decompose(space, [A ** (1 << 62)], space.enumerate_ball(E, 1))
 
 
 def test_orbit_labels_invariant_under_generators():
