@@ -107,8 +107,8 @@ def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOp
     """Parse ``coeff*word; coeff*word; ...`` into a formal operator.
 
     Coefficients accept any finite value ``complex()`` does ("2", "-0.5",
-    "1+2j"); "nan", "inf" and "1e400" raise ConfigError.  A bare word means
-    coefficient 1.
+    "1+2j"); "nan", "inf" and "1e400" raise ConfigError, as do terms of one
+    word that sum to a non-finite value.  A bare word means coefficient 1.
     """
     terms: list[tuple[complex, GroupElement]] = []
     for chunk in text.split(";"):
@@ -127,7 +127,11 @@ def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOp
         else:
             coeff, word_text = 1.0, chunk
         terms.append((coeff, parse_word(word_text.strip(), presentation)))
-    return FormalOperator.from_terms(presentation, terms)
+    op = FormalOperator.from_terms(presentation, terms)
+    for g, c in op.coefficients.items():
+        if not cmath.isfinite(c):
+            raise ConfigError(f"non-finite coefficient sum at word {str(g)!r}")
+    return op
 
 
 # ---------------------------------------------------------------------------

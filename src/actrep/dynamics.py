@@ -28,7 +28,6 @@ from .groups import (
     GroupElement,
     conjugate_sequence,
     element_order,
-    first_syllable_in,
     free_product,
 )
 from .operators import (
@@ -407,27 +406,29 @@ def _abstract_pair(h: GroupElement, g: GroupElement) -> FreeProductPresentation:
     return free_product([element_order(h), element_order(g)], names=("h", "g"))
 
 
-#: The words of <h> * <g> of length <= L, breadth first, and their images.
-_PairBall = tuple[list[GroupElement], list[GroupElement]]
+#: The presentation <h> * <g>, rows and lengths of its words, and their images.
+_PairBall = tuple[FreeProductPresentation, np.ndarray, np.ndarray, list[GroupElement]]
 
 
 def _pair_ball(h: GroupElement, g: GroupElement, L: int) -> _PairBall:
     """The words of <h> * <g> of length <= L, breadth first, and their images.
 
-    A word's image is its prefix's image times the power of h or g in its
-    last syllable; the prefix is shorter, so breadth-first order has already
-    evaluated it, and each word costs one multiplication.
+    The words are rows of :meth:`CayleySpace.ball_codes`, returned with the
+    abstract presentation and never decoded.  A word's image is its prefix's
+    image times the power of h or g in its last syllable; the prefix is
+    shorter, so breadth-first order has already evaluated it, and each word
+    costs one multiplication.
     """
     abstract = _abstract_pair(h, g)
-    words = CayleySpace(abstract, ball_cap=_WORD_CAP).enumerate_ball(abstract.identity(), L)
-    powers: dict[tuple[int, int], GroupElement] = {}
+    rows, lens = CayleySpace(abstract, ball_cap=_WORD_CAP).ball_codes(L)
+    powers: dict[int, GroupElement] = {}
     image_of = {(): h.presentation.identity()}
-    for w in words[1:]:
-        last = w.syllables[-1]
+    for row, n in zip(rows.tolist()[1:], lens.tolist()[1:]):
+        word, last = tuple(row[:n]), row[n - 1]
         if last not in powers:
-            powers[last] = (h, g)[last[0]] ** last[1]
-        image_of[w.syllables] = image_of[w.syllables[:-1]] * powers[last]
-    return words, list(image_of.values())
+            powers[last] = (h, g)[last % abstract.rank] ** (last // abstract.rank)
+        image_of[word] = image_of[word[:-1]] * powers[last]
+    return abstract, rows, lens, list(image_of.values())
 
 
 @dataclass
@@ -455,44 +456,47 @@ def check_Wj_disjoint(
     """Exhaustive disjointness check of the translates g^j W_0 of the base point.
 
     W_0 holds the words of the abstract free product <h> * <g> of length at
-    most L that do not begin with a g-power, the identity included.  They
-    and their images are read from one ball of pair words
-    (:func:`_pair_ball`), built here unless ``_ball`` passes the ball the
-    caller built, and the images are translated by g^j for |j| <= J.  The
-    base point is the identity, so the point of a word is its image.  A
-    collision between distinct j exhibits a nontrivial abstract word
-    v^-1 g^(j-k) u whose image is the identity.  The action is free, so the
-    collisions would be the same at any other base point.
+    most L that do not begin with a g-power, the identity included: the rows
+    of one ball of pair words (:func:`_pair_ball`) whose first factor is not
+    g's.  The ball is built here unless ``_ball`` passes the caller's, and
+    the images are translated by g^j for |j| <= J.  The base point is the
+    identity, so the point of a word is its image.  A collision between
+    distinct j exhibits a nontrivial abstract word v^-1 g^(j-k) u whose
+    image is the identity.  The action is free, so the collisions would be
+    the same at any other base point.
 
     The action is a homomorphism, so the point of g^j u is g^j times u's
     image.  The images are held in a window acted on by g^-J .. g^J, and
     the points of all (j, u), j-major, are labelled equal exactly when they
     are equal (``CayleyWindow._label``).  A point collides when the first
-    (j, u) with its label has another j; only collisions are built as group
-    elements.
+    (j, u) with its label has another j; only the words and points of
+    collisions are built as group elements, the words in one decode.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
-    words, images = _ball or _pair_ball(h, g, L)
-    w0 = [i for i, u in enumerate(words) if not first_syllable_in(u, 1)]
-    words, images = [words[i] for i in w0], [images[i] for i in w0]
-    n, pres = len(words), h.presentation
+    abstract, words, lens, images = _pair_ball(h, g, L) if _ball is None else _ball
+    w0 = np.flatnonzero(words[:, 0] % abstract.rank != 1)  # the identity's row reads 0
+    images = [images[i] for i in w0.tolist()]
+    n, pres = len(w0), h.presentation
     powers = [g ** j for j in range(-J, J + 1)]
-    rows, lens = CayleyWindow.encode(pres, images)
-    window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), rows, lens)
+    held = CayleyWindow.encode(pres, images)
+    window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), *held)
     # item (j + J) * n + i is the point of g^j times word i
     label = window._label(np.repeat(np.arange(2 * J + 1), n), np.tile(ids, 2 * J + 1))
     first = np.unique(label, return_index=True)[1][label]  # the first item with each label
     clash = np.flatnonzero(first // n != np.arange(len(label)) // n)
     collisions: list[WjCollision] = []
     if clash.size:
-        gbar = words[0].presentation.generator(1)
+        gbar = abstract.generator(1)
         shifts = [gbar ** d for d in range(-2 * J, 2 * J + 1)]
+        used = np.unique(np.concatenate([clash, first[clash]]) % n)
+        decoded = CayleyWindow.decode(abstract, words[w0[used]], lens[w0[used]])
+        word_of = dict(zip(used.tolist(), decoded))  # W_0 index -> word
         points: dict[int, Point] = {}  # by label
         heads: dict[tuple[int, int], GroupElement] = {}  # v^-1 gbar^(j-k), by (v, j - k)
         for t, t0, x in zip(clash.tolist(), first[clash].tolist(), label[clash].tolist()):
             (a, i), (b, i0) = divmod(t, n), divmod(t0, n)
-            u, v = words[i], words[i0]
+            u, v = word_of[i], word_of[i0]
             if x not in points:
                 points[x] = powers[b] * images[i0]
             if (i0, a - b) not in heads:
@@ -552,13 +556,15 @@ def pingpong_certificate(
 
     The group acts freely on its Cayley graph, so a pair word acts trivially
     exactly when its image is the identity.  The pair words of length <= L
-    are enumerated and evaluated once, and the injectivity census and
+    are enumerated as rows and evaluated once (:func:`_pair_ball`), and the
+    injectivity census, which decodes only the trivial words, and
     :func:`check_Wj_disjoint` both read them.
     """
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    ball = _pair_ball(h, g, L)
-    trivial = [w for w, x in zip(*ball) if not w.is_identity and x.is_identity]
+    ball = abstract, words, lens, images = _pair_ball(h, g, L)
+    hits = [i for i, x in enumerate(images) if i and x.is_identity]  # word 0 is the identity
+    trivial = CayleyWindow.decode(abstract, words[hits], lens[hits])
     injectivity_ok = not trivial
 
     disjointness = check_Wj_disjoint(h, g, J, L, _ball=ball)

@@ -1,11 +1,11 @@
 """The Cayley graph of a free product, acted on by left multiplication.
 
 The group acts on itself, freely and isometrically for the word metric of
-the standard generating set.  Balls are enumerated deterministically, as
-group elements (:meth:`CayleySpace.enumerate_ball`) or as rows of integer
-codes in the same order (:meth:`CayleySpace.ball_codes`); orbit
-decompositions are budget-relative: they certify what a finite ball shows
-and never claim more.  The action is free, so it is faithful by
+the standard generating set.  Balls are enumerated once, breadth first, as
+rows of integer codes (:meth:`CayleySpace.ball_codes`);
+:meth:`CayleySpace.enumerate_ball` decodes those rows into group elements.
+Orbit decompositions are budget-relative: they certify what a finite ball
+shows and never claim more.  The action is free, so it is faithful by
 construction and no check of it is needed.  Integer-indexed stores of
 reduced words (:class:`CayleyWindow`) hold the norm estimator's windows,
 the balls of the orbit decomposition and the translates of the W_j check;
@@ -74,31 +74,23 @@ class CayleySpace:
         return g * x
 
     def enumerate_ball(self, center: Point, radius: int) -> list[Point]:
-        """All points at distance <= radius, in breadth-first discovery order."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        seen: dict[Point, None] = {center: None}
-        frontier = [center]
-        for _ in range(radius):
-            nxt: list[Point] = []
-            for x in frontier:
-                for s in self._moves:
-                    y = x * s
-                    if y not in seen:
-                        if len(seen) >= self.ball_cap:
-                            raise self._cap_exceeded()
-                        seen[y] = None
-                        nxt.append(y)
-            frontier = nxt
-        return list(seen)
+        """All points at distance <= radius, in breadth-first discovery order.
+
+        The rows of :meth:`ball_codes`, decoded and translated by ``center``;
+        left multiplication commutes with the right moves, so the order is
+        that of the breadth-first search from ``center``.
+        """
+        points = CayleyWindow.decode(self.presentation, *self.ball_codes(radius))
+        return [center * x for x in points]
 
     def ball_codes(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of syllable codes and lengths of the points at distance <=
-        radius from the base point, in :meth:`enumerate_ball`'s order.
+        radius from the base point, in breadth-first discovery order: level
+        by level, point by point, the new products x s with the moves s.
 
         A window acted on by the inverse moves closes breadth first on the
         inverses of the ball's words: s^-1 x^-1 = (x s)^-1, so its ids are in
-        :meth:`enumerate_ball`'s order, and its rows are inverted as codes.
+        that order, and its rows are inverted as codes.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
@@ -106,11 +98,8 @@ class CayleySpace:
         window = CayleyWindow(self.presentation, inverses, [inverses.index(m) for m in self._moves])
         window.close(radius, self.ball_cap + 1)
         if window.size > self.ball_cap:
-            raise self._cap_exceeded()
+            raise BudgetExceededError(f"ball enumeration exceeded cap of {self.ball_cap} points")
         return window.inverse_codes()
-
-    def _cap_exceeded(self) -> BudgetExceededError:
-        return BudgetExceededError(f"ball enumeration exceeded cap of {self.ball_cap} points")
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,35 @@ def evaluate_pair_word(word, images):
     return acc
 
 
+def reference_ball(space, center, radius):
+    """All points of ``space`` at distance <= radius from ``center``, by the
+    breadth-first search on group elements: each level multiplies, point by
+    point, every point of the previous level on the right by the space's
+    moves, and keeps the products not seen before.  Raises
+    BudgetExceededError when a point would join past ``space.ball_cap``.
+    """
+    from actrep.spaces import BudgetExceededError
+
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    seen: dict = {center: None}
+    frontier = [center]
+    for _ in range(radius):
+        nxt: list = []
+        for x in frontier:
+            for s in space._moves:
+                y = x * s
+                if y not in seen:
+                    if len(seen) >= space.ball_cap:
+                        raise BudgetExceededError(
+                            f"ball enumeration exceeded cap of {space.ball_cap} points"
+                        )
+                    seen[y] = None
+                    nxt.append(y)
+        frontier = nxt
+    return list(seen)
+
+
 def reference_Wj_collisions(h, g, J, L):
     """The translate-family collisions of ``check_Wj_disjoint``, by the
     direct loop: every translated word g^j u is evaluated into the acting
@@ -152,7 +181,7 @@ def reference_Wj_collisions(h, g, J, L):
 
     space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
-    words = CayleySpace(abstract).enumerate_ball(abstract.identity(), L)
+    words = reference_ball(CayleySpace(abstract), abstract.identity(), L)
     w0 = [w for w in words if not first_syllable_in(w, 1)]
     gbar = abstract.generator(1)
     seen: dict = {}
@@ -179,10 +208,10 @@ def reference_trivial_words(h, g, L, R):
     space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
     aspace = CayleySpace(abstract, ball_cap=_WORD_CAP)
-    ball = space.enumerate_ball(space.base_point, R)
+    ball = reference_ball(space, space.base_point, R)
 
     trivial = []
-    for wbar in aspace.enumerate_ball(abstract.identity(), L):
+    for wbar in reference_ball(aspace, abstract.identity(), L):
         if wbar.is_identity:
             continue
         w = evaluate_pair_word(wbar, (h, g))

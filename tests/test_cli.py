@@ -596,6 +596,22 @@ def test_non_finite_coefficients_exit_3(tmp_path, capsys, experiment, coeff):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "terms, word", [("1e308*e; 1e308*e", "e"), ("-1e308j*a; 1*b; -1e308j*a", "a")], ids=["real", "imag"]
+)
+@pytest.mark.parametrize("experiment", ["trace", "norm"])
+def test_overflowing_coefficient_sum_exit_3(tmp_path, capsys, experiment, terms, word):
+    # every term is finite, but the terms of one word sum past float64
+    cfg = write_config(
+        tmp_path, "presentation.orders = inf, inf\npresentation.names = a, b\n"
+        f"operator.T = {terms}\noperator.S = 1*a^-1\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: non-finite coefficient sum at word {word!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def test_tiny_coefficients_exit_3(tmp_path, capsys):
     # the iteration's squares would underflow and stop it at a bound near 0
     cfg = write_config(

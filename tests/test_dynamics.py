@@ -36,11 +36,12 @@ from actrep.dynamics import (
     _pair_ball,
     _trace_of_product,
 )
-from actrep.spaces import CayleySpace
+from actrep.spaces import CayleySpace, CayleyWindow
 
 from oracles import (
     dense_compression_norm,
     evaluate_pair_word,
+    reference_ball,
     reference_trivial_words,
     reference_Wj_collisions,
 )
@@ -58,8 +59,12 @@ H, G = Z3Z.generators()
 LIGHT = NormBudget(max_iterations=60, support_cap=6000)
 
 #: (h, g) pairs for the free-product probes: free, free on other generators,
-#: degenerate, a relation of length 4 and one of length 6, and Z/3 * Z.
-PAIRS = [(A, B), (A * B, B), (A, A), (T23, S * T23), (T23, (S * T23) ** 2), (H, G)]
+#: degenerate, a relation of length 4 and one of length 6, Z/3 * Z, and two
+#: involutions, whose pair ball Z/2 * Z/2 grows linearly.
+PAIRS = [
+    (A, B), (A * B, B), (A, A), (T23, S * T23), (T23, (S * T23) ** 2), (H, G),
+    (S, T23 * S * T23.inverse()),
+]
 
 
 def random_operator(rng, presentation, n_terms, max_len):
@@ -672,21 +677,22 @@ def test_pair_ball_images_match_direct_evaluation():
     # each image is its prefix's image times one syllable power; the oracle
     # substitutes every syllable of every word afresh
     for h, g in PAIRS:
-        words, images = _pair_ball(h, g, 6)
-        abstract = _abstract_pair(h, g)
-        assert words == CayleySpace(abstract).enumerate_ball(abstract.identity(), 6)
+        abstract, rows, lens, images = _pair_ball(h, g, 6)
+        assert abstract == _abstract_pair(h, g)
+        words = CayleyWindow.decode(abstract, rows, lens)
+        assert words == reference_ball(CayleySpace(abstract), abstract.identity(), 6)
         assert images == [evaluate_pair_word(w, (h, g)) for w in words], (h, g)
 
 
 def test_pingpong_enumerates_the_pair_ball_once(monkeypatch):
     calls = []
-    enumerate_ball = CayleySpace.enumerate_ball
+    ball_codes = CayleySpace.ball_codes
 
-    def counted(self, center, radius):
+    def counted(self, radius):
         calls.append(radius)
-        return enumerate_ball(self, center, radius)
+        return ball_codes(self, radius)
 
-    monkeypatch.setattr(CayleySpace, "enumerate_ball", counted)
+    monkeypatch.setattr(CayleySpace, "ball_codes", counted)
     rep = pingpong_certificate(T23, (S * T23) ** 2, 5, 6)
     assert calls == [5]
     assert not rep.disjointness.disjoint  # the translate check read that ball

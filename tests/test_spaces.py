@@ -9,7 +9,7 @@ from actrep.spaces import (
     CayleyWindow,
     orbit_decompose,
 )
-from oracles import reference_orbit_decompose
+from oracles import reference_ball, reference_orbit_decompose
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -18,6 +18,8 @@ E = F2.identity()
 Z2Z3 = free_product([2, 3], names=("s", "t"))
 Z3Z4 = free_product([3, 4])
 ZZ3 = free_product([INFINITE, 3])
+Z = free_product([INFINITE])
+Z2Z2 = free_product([2, 2])
 
 
 def random_element(rng, presentation, max_len):
@@ -103,20 +105,29 @@ def test_ball_cap():
         space.enumerate_ball(E, 3)
 
 
-@pytest.mark.parametrize("pres", [F2, Z2Z3, Z3Z4, ZZ3], ids=["F2", "Z2Z3", "Z3Z4", "ZZ3"])
+@pytest.mark.parametrize(
+    "pres", [F2, Z2Z3, Z3Z4, ZZ3, Z, Z2Z2], ids=["F2", "Z2Z3", "Z3Z4", "ZZ3", "Z", "Z2Z2"]
+)
 def test_ball_codes_decode_to_enumerate_ball(pres):
-    # the inverted window rows are the ball's words, canonical and in order
+    # the inverted window rows are the ball's words, canonical and in the
+    # order of the breadth-first search on group elements; enumerate_ball
+    # translates them, so its order is that search's from any centre
     space = CayleySpace(pres)
-    for r in range(6):
-        ball = space.enumerate_ball(space.base_point, r)
+    center = pres.generator(pres.rank - 1) * pres.generator(0)  # never the identity here
+    for r in range(7):
+        ball = reference_ball(space, space.base_point, r)
         assert CayleyWindow.decode(pres, *space.ball_codes(r)) == ball
-        # the cap binds exactly when the ball outgrows it, as in enumerate_ball
+        assert space.enumerate_ball(center, r) == reference_ball(space, center, r)
+        # the cap binds exactly when the ball outgrows it, as in the search
         assert len(CayleySpace(pres, ball_cap=len(ball)).ball_codes(r)[1]) == len(ball)
         if len(ball) > 1:
             with pytest.raises(BudgetExceededError, match=f"cap of {len(ball) - 1} points"):
                 CayleySpace(pres, ball_cap=len(ball) - 1).ball_codes(r)
-    with pytest.raises(ValueError, match="radius must be >= 0"):
-        space.ball_codes(-1)
+            with pytest.raises(BudgetExceededError, match=f"cap of {len(ball) - 1} points"):
+                CayleySpace(pres, ball_cap=len(ball) - 1).enumerate_ball(center, r)
+    for enumerate_ in (space.ball_codes, lambda r: space.enumerate_ball(center, r)):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            enumerate_(-1)
 
 
 def test_ball_deterministic_order():
