@@ -406,29 +406,52 @@ def _abstract_pair(h: GroupElement, g: GroupElement) -> FreeProductPresentation:
     return free_product([element_order(h), element_order(g)], names=("h", "g"))
 
 
-#: The presentation <h> * <g>, rows and lengths of its words, and their images.
-_PairBall = tuple[FreeProductPresentation, np.ndarray, np.ndarray, list[GroupElement]]
+#: The presentation <h> * <g>, rows and lengths of its words, and rows and
+#: lengths of their images.
+_PairBall = tuple[FreeProductPresentation, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _pair_ball(h: GroupElement, g: GroupElement, L: int) -> _PairBall:
     """The words of <h> * <g> of length <= L, breadth first, and their images.
 
-    The words are rows of :meth:`CayleySpace.ball_codes`, returned with the
-    abstract presentation and never decoded.  A word's image is its prefix's
-    image times the power of h or g in its last syllable; the prefix is
-    shorter, so breadth-first order has already evaluated it, and each word
-    costs one multiplication.
+    The words are the rows of :meth:`CayleySpace.ball_codes`, and the images
+    rows of syllable codes of h's presentation; nothing is decoded.  The
+    ball's window holds the words' inverses (:meth:`CayleySpace._ball_window`):
+    each point y = w^-1 one level below another, x, is y = s x for one of
+    the window's symbols s, the inverse moves, so y's image is s's image
+    times x's, a left action (:meth:`CayleyWindow._act`).  The images are
+    computed so a level at a time, from the symbol targets of the points
+    above the last level, and inverted once at the end.
     """
     abstract = _abstract_pair(h, g)
-    rows, lens = CayleySpace(abstract, ball_cap=_WORD_CAP).ball_codes(L)
-    powers: dict[int, GroupElement] = {}
-    image_of = {(): h.presentation.identity()}
-    for row, n in zip(rows.tolist()[1:], lens.tolist()[1:]):
-        word, last = tuple(row[:n]), row[n - 1]
-        if last not in powers:
-            powers[last] = (h, g)[last % abstract.rank] ** (last // abstract.rank)
-        image_of[word] = image_of[word[:-1]] * powers[last]
-    return abstract, rows, lens, list(image_of.values())
+    ball = CayleySpace(abstract, ball_cap=_WORD_CAP)._ball_window(L)
+    words, lens = ball.inverse_codes()
+    symbols = CayleyWindow.decode(abstract, ball._sym, ball._sym_len)  # one syllable each
+    acting = CayleyWindow(
+        h.presentation, [(h, g)[f] ** e for ((f, e),) in (s.syllables for s in symbols)], ball.inverse
+    )
+    depth = ball.depth
+    inner = int(np.searchsorted(depth, L))  # the points above the last level
+    targets = ball.targets(np.arange(inner)).astype(np.int64)
+    U = targets.shape[1]
+    y = targets.reshape(-1)
+    down = np.flatnonzero((y >= 0) & (depth[y] == np.repeat(depth[:inner], U) + 1))
+    pair = down[np.unique(y[down], return_index=True)[1]]  # the first pair into each point
+    parent, symbol = pair // U, pair % U  # of points 1, 2, ..., in id order
+    rows = np.zeros((len(depth), 1), dtype=np.int64)
+    n = np.zeros(len(depth), dtype=np.int64)
+    starts = np.searchsorted(depth, np.arange(L + 2))
+    for a, b in zip(starts[1:-1].tolist(), starts[2:].tolist()):
+        step = acting._pair_step(rows.shape[1])
+        for i in range(a, b, step):
+            j = min(b, i + step)
+            x = parent[i - 1 : j - 1]
+            out, m = acting._act(rows[x], n[x], symbol[i - 1 : j - 1, None])
+            if out.shape[-1] > rows.shape[1]:  # widen geometrically, as the window's store does
+                rows = np.pad(rows, ((0, 0), (0, max(out.shape[-1], 2 * rows.shape[1]) - rows.shape[1])))
+            rows[i:j, : out.shape[-1]] = out[:, 0]
+            n[i:j] = m[:, 0]
+    return abstract, words, lens, *acting._inverted(rows, n)
 
 
 @dataclass
@@ -469,18 +492,18 @@ def check_Wj_disjoint(
     image.  The images are held in a window acted on by g^-J .. g^J, and
     the points of all (j, u), j-major, are labelled equal exactly when they
     are equal (``CayleyWindow._label``).  A point collides when the first
-    (j, u) with its label has another j; only the words and points of
-    collisions are built as group elements, the words in one decode.
+    (j, u) with its label has another j.  The images stay rows of codes
+    (:func:`_pair_ball`); only the words and points of collisions are built
+    as group elements, the words in one decode and the points from the
+    window's rows, one per colliding label.
     """
     if J < 1 or L < 1:
         raise ValueError("J and L must be >= 1")
-    abstract, words, lens, images = _pair_ball(h, g, L) if _ball is None else _ball
+    abstract, words, lens, images, image_lens = _pair_ball(h, g, L) if _ball is None else _ball
     w0 = np.flatnonzero(words[:, 0] % abstract.rank != 1)  # the identity's row reads 0
-    images = [images[i] for i in w0.tolist()]
     n, pres = len(w0), h.presentation
     powers = [g ** j for j in range(-J, J + 1)]
-    held = CayleyWindow.encode(pres, images)
-    window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), *held)
+    window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), images[w0], image_lens[w0])
     # item (j + J) * n + i is the point of g^j times word i
     label = window._label(np.repeat(np.arange(2 * J + 1), n), np.tile(ids, 2 * J + 1))
     first = np.unique(label, return_index=True)[1][label]  # the first item with each label
@@ -492,13 +515,13 @@ def check_Wj_disjoint(
         used = np.unique(np.concatenate([clash, first[clash]]) % n)
         decoded = CayleyWindow.decode(abstract, words[w0[used]], lens[w0[used]])
         word_of = dict(zip(used.tolist(), decoded))  # W_0 index -> word
-        points: dict[int, Point] = {}  # by label
+        met = np.unique(first[clash])  # the first item of each label that collides
+        rows = window._pair_rows(ids[met % n], met // n)  # g^j times the word's image
+        points = dict(zip(label[met].tolist(), CayleyWindow.decode(pres, *rows)))  # by label
         heads: dict[tuple[int, int], GroupElement] = {}  # v^-1 gbar^(j-k), by (v, j - k)
         for t, t0, x in zip(clash.tolist(), first[clash].tolist(), label[clash].tolist()):
             (a, i), (b, i0) = divmod(t, n), divmod(t0, n)
             u, v = word_of[i], word_of[i0]
-            if x not in points:
-                points[x] = powers[b] * images[i0]
             if (i0, a - b) not in heads:
                 heads[i0, a - b] = v.inverse() * shifts[a - b + 2 * J]
             collisions.append(WjCollision(a - J, u, b - J, v, points[x], heads[i0, a - b] * u))
@@ -556,14 +579,15 @@ def pingpong_certificate(
 
     The group acts freely on its Cayley graph, so a pair word acts trivially
     exactly when its image is the identity.  The pair words of length <= L
-    are enumerated as rows and evaluated once (:func:`_pair_ball`), and the
-    injectivity census, which decodes only the trivial words, and
+    are enumerated as rows and evaluated once, into rows (:func:`_pair_ball`),
+    and the injectivity census, whose trivial words are those with an empty
+    image row and are the only words it decodes, and
     :func:`check_Wj_disjoint` both read them.
     """
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    ball = abstract, words, lens, images = _pair_ball(h, g, L)
-    hits = [i for i, x in enumerate(images) if i and x.is_identity]  # word 0 is the identity
+    ball = abstract, words, lens, _, image_lens = _pair_ball(h, g, L)
+    hits = np.flatnonzero(image_lens[1:] == 0) + 1  # word 0 is the identity
     trivial = CayleyWindow.decode(abstract, words[hits], lens[hits])
     injectivity_ok = not trivial
 

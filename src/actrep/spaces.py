@@ -88,9 +88,16 @@ class CayleySpace:
         radius from the base point, in breadth-first discovery order: level
         by level, point by point, the new products x s with the moves s.
 
+        The rows are those of :meth:`_ball_window`, inverted as codes.
+        """
+        return self._ball_window(radius).inverse_codes()
+
+    def _ball_window(self, radius: int) -> "CayleyWindow":
+        """The closed window of the inverses of the words of the radius ball.
+
         A window acted on by the inverse moves closes breadth first on the
         inverses of the ball's words: s^-1 x^-1 = (x s)^-1, so its ids are in
-        that order, and its rows are inverted as codes.
+        the ball's breadth-first order.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
@@ -99,7 +106,7 @@ class CayleySpace:
         window.close(radius, self.ball_cap + 1)
         if window.size > self.ball_cap:
             raise BudgetExceededError(f"ball enumeration exceeded cap of {self.ball_cap} points")
-        return window.inverse_codes()
+        return window
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +149,7 @@ def _hash(rows: np.ndarray) -> np.ndarray:
     H is a word's fingerprint: it only proposes candidates, and every match
     is confirmed by comparing rows.
     """
-    return (rows.view(np.uint64) * _powers(rows.shape[-1])).sum(axis=-1, dtype=np.uint64)
+    return rows.view(np.uint64) @ _powers(rows.shape[-1])  # integer matmul wraps mod 2**64
 
 
 def _prefix_hashes(rows: np.ndarray) -> np.ndarray:
@@ -159,36 +166,58 @@ def _rows_equal(a: np.ndarray, alen: np.ndarray, b: np.ndarray, blen: np.ndarray
     return (alen == blen) & (a[..., :w] == b[..., :w]).all(axis=-1)
 
 
-def _group(fp: np.ndarray, rows_of, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group items exactly by their words, numbering the groups by first occurrence.
+def _insert(a: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.insert(a, at, values)`` for nondecreasing positions ``at``, which
+    needs no sort of the positions."""
+    out = np.empty(len(a) + len(values), dtype=a.dtype)
+    at = at + np.arange(len(values))
+    old = np.ones(len(out), dtype=bool)
+    old[at] = False
+    out[at] = values
+    out[old] = a
+    return out
 
+
+def _group(fp: np.ndarray, order: np.ndarray, rows_of, step: int) -> np.ndarray:
+    """The least item holding the same word as each of the items ``order``.
+
+    ``order`` lists items by increasing fingerprint ``fp``, and items of
+    equal fingerprint by increasing index, as a stable argsort leaves them;
+    so each run of equal fingerprints starts with its least item.  Every
+    later item of a run is compared by rows with the run's first item, and a
+    run that holds distinct words is split by the words' contents.
     ``rows_of(idx)`` returns the rows and lengths of the items ``idx`` and is
-    called on at most ``step`` items at a time.  Items are grouped by
-    fingerprint and every item is compared with its group's first item; a
-    group that holds distinct words is split by the words' contents.  Returns
-    the first item of every group and the group of every item.
+    called on at most ``step`` items at a time.  Returns the least item with
+    the same word at every position of ``order``.
     """
-    _, first, group = np.unique(fp, return_index=True, return_inverse=True)
-    rep = first[group]
-    later = np.nonzero(rep != np.arange(len(fp)))[0]
-    clash = np.zeros(len(fp), dtype=bool)
+    s = fp[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = s[1:] != s[:-1]
+    run = np.cumsum(head) - 1
+    first = order[head][run]
+    later = np.flatnonzero(~head)
+    clash = np.zeros(len(order), dtype=bool)
     for i in range(0, len(later), step):
-        idx = later[i : i + step]
-        clash[idx] = ~_rows_equal(*rows_of(idx), *rows_of(rep[idx]))
+        at = later[i : i + step]
+        clash[at] = ~_rows_equal(*rows_of(order[at]), *rows_of(first[at]))
     if clash.any():
-        members = np.nonzero(np.isin(group, group[clash]))[0]
-        labels: dict[bytes, int] = {}
-        group = group.copy()
+        members = np.flatnonzero(np.isin(run, run[clash]))
+        labels: dict[bytes, int] = {}  # equal words share their run, so one dict serves all
         for i in range(0, len(members), step):
-            idx = members[i : i + step]
-            rows, lens = rows_of(idx)
-            for j, row, n in zip(idx.tolist(), rows, lens.tolist()):
-                group[j] = labels.setdefault(row[:n].tobytes(), len(first) + len(labels))
-        _, first, group = np.unique(group, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[group]
+            at = members[i : i + step]
+            rows, lens = rows_of(order[at])
+            for j, item, row, n in zip(at.tolist(), order[at].tolist(), rows, lens.tolist()):
+                first[j] = labels.setdefault(row[:n].tobytes(), item)
+    return first
+
+
+def _first_ranks(first: np.ndarray, n: int) -> np.ndarray:
+    """Rank of each of the items ``first`` among the distinct ones, in
+    increasing order of item, out of ``n`` items: a mark and a cumulative sum
+    over positions, so the distinct words are numbered by first occurrence."""
+    mark = np.zeros(n, dtype=bool)
+    mark[first] = True
+    return (np.cumsum(mark) - 1)[first]
 
 
 class CayleyWindow:
@@ -217,6 +246,16 @@ class CayleyWindow:
     every image, since most of them join the window; :meth:`targets` and
     :meth:`images` build rows only for the images whose fingerprint matches
     a stored point or an earlier image.
+
+    :meth:`close` costs a fixed amount per block of images, so it keeps the
+    blocks few.  Each block's hashes are sorted once, and the lookup, the
+    grouping of new words by first occurrence, their ids and the merge into
+    the sorted index all read that one order (:meth:`_intern`).  A level
+    that fits in one block is expanded several levels deep in one block:
+    while no image repeats a word, the images of each new word, in order,
+    are the next level's, so (point, u1, ..., ut) order is breadth-first
+    order (:meth:`_tiers`); a line of hundreds of levels closes in a few
+    blocks.
     """
 
     def __init__(
@@ -231,6 +270,9 @@ class CayleyWindow:
         self._sym, self._sym_len = self.encode(presentation, symbols)
         self.inverse = np.asarray(inverse, dtype=np.int64)
         self._sym_inv = self._sym[self.inverse]
+        # the symbols a batch applies after each symbol: neither its inverse nor the identity
+        U = len(self.inverse)
+        self._next = (np.arange(U) != self.inverse[:, None]) & (self._sym_len > 0)
         self._sym_prefix = _prefix_hashes(self._sym)
         self._inv_prefix = _prefix_hashes(self._sym_inv)
         self._pow = _powers(self._sym.shape[1])
@@ -337,16 +379,24 @@ class CayleyWindow:
     def _find(self, h: np.ndarray, rows_of) -> np.ndarray:
         """Ids of the words with hashes ``h``, or -1 where they are not stored.
 
+        ``rows_of(idx)`` returns the rows and lengths of the words ``idx``,
+        which may repeat; it is asked only for words whose hash is stored, a
+        block of :meth:`_pair_step` comparisons at a time.
+        """
+        order = np.argsort(h)  # sorted needles make the binary searches cache-friendly
+        return self._match(h[order], order, rows_of)[0]
+
+    def _match(self, needles: np.ndarray, order: np.ndarray, rows_of) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_find` for the words ``order``, whose hashes are the sorted
+        ``needles``; also returns, at each position of ``order``, the end of
+        the run of stored words with that hash in the sorted index, which is
+        where a new word with that hash is merged in.
+
         Each word is compared with every stored word of its hash, a run of
         the sorted index bounded by a search to each side; stored words are
-        distinct, so at most one of them matches.  ``rows_of(idx)`` returns
-        the rows and lengths of the words ``idx``, which may repeat; it is
-        asked only for words whose hash is stored, a block of
-        :meth:`_pair_step` comparisons at a time.
+        distinct, so at most one of them matches.
         """
         index = self._index_fp
-        order = np.argsort(h)  # sorted needles make the binary searches cache-friendly
-        needles = h[order]
         lo = np.searchsorted(index, needles)
         hi = lo.copy()
         hit = index[np.minimum(lo, len(index) - 1)] == needles
@@ -354,39 +404,61 @@ class CayleyWindow:
         runs = hi - lo
         query = np.repeat(order, runs)
         at = np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
-        ids = np.full(len(h), -1, dtype=np.int64)
+        ids = np.full(len(order), -1, dtype=np.int64)
         step = self._pair_step()
         for i in range(0, len(query), step):
             q, cand = query[i : i + step], self._index_id[at[i : i + step]]
             match = _rows_equal(*rows_of(q), self._words(cand), self._len[cand])
             ids[q[match]] = cand[match]
-        return ids
+        return ids, hi
 
     def _intern(
-        self, rows: np.ndarray, lens: np.ndarray, room: int, depth: int
+        self,
+        rows: np.ndarray,
+        lens: np.ndarray,
+        room: int,
+        depth: int | np.ndarray,
+        h: np.ndarray | None = None,
     ) -> np.ndarray:
         """Ids of the given words; absent ones join in first-occurrence order
-        while there is room, and the rest get -1."""
-        h = _hash(rows)
-        ids = self._find(h, lambda idx: (rows[idx], lens[idx]))
-        new = np.nonzero(ids < 0)[0]
-        if new.size and room > 0:
-            first, group = _group(h[new], lambda idx: (rows[new[idx]], lens[new[idx]]), len(new))
-            take = min(len(first), room)
-            fresh = np.full(len(first), -1, dtype=np.int64)
-            fresh[:take] = self.size + np.arange(take)
-            ids[new] = fresh[group]
-            keep = new[first[:take]]
-            self._append(rows[keep], lens[keep], h[keep], depth, self.size + room)
+        while there is room, and the rest get -1.
+
+        ``depth`` is the depth of every word, or one for all; ``h`` their
+        hashes, if the caller has them.  The hashes are sorted once, by a
+        stable argsort, and everything else is read off that one order: the
+        lookup of stored words (:meth:`_match`), the grouping of the misses
+        by their words (:func:`_group`), their ids by first occurrence
+        (:func:`_first_ranks`) and the merge of the new words into the sorted
+        index, at the ends of their hashes' runs that the lookup found.
+        """
+        if h is None:
+            h = _hash(rows)
+        order = np.argsort(h, kind="stable")
+        rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
+        ids, end = self._match(h[order], order, rows_of)
+        missed = np.flatnonzero(ids[order] < 0)
+        miss = order[missed]  # still sorted, and stable within equal hashes
+        if miss.size and room > 0:
+            first = _group(h, miss, rows_of, len(miss))
+            rank = _first_ranks(first, len(h))
+            ids[miss] = np.where(rank < room, self.size + rank, -1)
+            keep = (first == miss) & (rank < room)  # each new word's first item, by hash
+            items = np.empty(np.count_nonzero(keep), dtype=np.int64)
+            items[rank[keep]] = miss[keep]  # the same items, in id order
+            fresh, at = self.size + rank[keep], end[missed[keep]]
+            depth = np.broadcast_to(depth, lens.shape)[items]
+            self._append(rows[items], lens[items], h[items], depth, self.size + room)
+            self._index_fp = _insert(self._index_fp, at, h[miss[keep]])
+            self._index_id = _insert(self._index_id, at, fresh)
         return ids
 
     def _append(
-        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, depth: int, limit: int
+        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, depth: np.ndarray, limit: int
     ) -> None:
-        """Store new points with their hashes ``h``;
-        the store never reserves room past ``limit`` points.  Its width grows
-        by at least a ``_WIDTH_GROWTH`` share, so a window whose longest word
-        grows at every level is copied a logarithmic number of times."""
+        """Store new points with their hashes ``h`` and depths; the store never
+        reserves room past ``limit`` points.  Its width grows by at least a
+        ``_WIDTH_GROWTH`` share, so a window whose longest word grows at every
+        level is copied a logarithmic number of times."""
         n, k = self.size, len(lens)
         used = self._width
         self._width = max(used, int(lens.max()) + 1)
@@ -409,10 +481,6 @@ class CayleyWindow:
         self._hx[n : n + k] = h
         self._depth[n : n + k] = depth
         self.size = n + k
-        order = np.argsort(h, kind="stable")
-        at = np.searchsorted(self._index_fp, h[order], side="right")
-        self._index_fp = np.insert(self._index_fp, at, h[order])
-        self._index_id = np.insert(self._index_id, at, n + order)
 
     # -- the action ------------------------------------------------------
 
@@ -429,18 +497,24 @@ class CayleyWindow:
         return self._code(a % R, a // R + b // R)
 
     def inverse_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and lengths of the inverses of all points, in id order: each
-        word is reversed and each exponent negated into its factor's range.
-        The rows are built a column at a time, so no transient array is
-        longer than one column."""
+        """Rows and lengths of the inverses of all points, in id order
+        (:meth:`_inverted`)."""
+        return self._inverted(self._rows[: self.size], self._len[: self.size])
+
+    def _inverted(self, rows: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and lengths of the inverses of the words in ``rows``, of
+        lengths ``lens``: each word is reversed and each exponent negated into
+        its factor's range.  The rows are built a block at a time, so no
+        transient array exceeds a block's number of elements."""
         R = self._rank
-        lens = self._len[: self.size].copy()
-        rows = np.zeros((self.size, self._width), dtype=np.int64)
-        for j in range(self._width - 1):
-            live = np.flatnonzero(lens > j)
-            c = self._rows[live, lens[live] - 1 - j]
-            rows[live, j] = self._code(c % R, -(c // R))
-        return rows, lens
+        out = np.zeros((len(lens), int(lens.max(initial=0)) + 1), dtype=np.int64)
+        col = np.arange(out.shape[1] - 1)
+        step = max(1, _BLOCK_ELEMENTS // out.shape[1])
+        for i in range(0, len(lens), step):
+            src = lens[i : i + step, None] - 1 - col  # reversed; negative past the word
+            c = np.take_along_axis(rows[i : i + step], np.maximum(src, 0), axis=1)
+            out[i : i + step, :-1] = np.where(src >= 0, self._code(c % R, -(c // R)), 0)
+        return out, lens.copy()
 
     def _check_reach(self, reach: int) -> None:
         """Raise OverflowError unless syllable exponents up to ``reach`` in
@@ -465,8 +539,9 @@ class CayleyWindow:
         M = self._sym.shape[1]
         m = self._sym_len[u]
         c = min(W, M)
-        same = X[:, None, :c] == self._sym_inv[u][..., :c]
-        k = np.minimum(np.logical_and.accumulate(same, axis=-1).sum(axis=-1), m)
+        same = np.zeros((B, u.shape[1], c + 1), dtype=bool)  # a last False column ends every run
+        np.equal(X[:, None, :c], self._sym_inv[u][..., :c], out=same[..., :c])
+        k = np.minimum(same.argmin(axis=-1), m)  # the leading matches
         a = self._sym[u, np.maximum(m - 1 - k, 0)]
         row = np.arange(B)[:, None]
         b = X[row, k]
@@ -475,11 +550,15 @@ class CayleyWindow:
         p = m - k - merge  # syllables kept from the symbol, before the merged one
         lens = p + n[:, None] - k
         col = np.arange(int(lens.max()) + 1)
-        src = col - (p - k)[..., None]
-        np.clip(src, 0, W - 1, out=src)
-        src += (row * W)[..., None]
-        out = np.ascontiguousarray(X).reshape(-1)[src]
-        np.copyto(out, self._sym[u[..., None], np.minimum(col, M - 1)], where=col < p[..., None])
+        # M zero columns before each word, so that no shift reads before its row
+        padded = np.zeros((B, M + W), dtype=np.int64)
+        padded[:, M:] = X
+        start = row * (M + W) + M  # flat index of each word's first syllable
+        src = col + (start - (p - k))[..., None]
+        np.minimum(src, (start + W - 1)[..., None], out=src)  # past the word: its zero column
+        out = padded.reshape(-1)[src]
+        P = int(p.max(initial=0))  # columns that keep syllables of a symbol
+        np.copyto(out[..., :P], self._sym[u[..., None], col[:P]], where=col[:P] < p[..., None])
         i, j = np.nonzero(merge)
         if i.size:
             out[i, j, p[i, j]] = self._merged(a[i, j], b[i, j])
@@ -490,9 +569,10 @@ class CayleyWindow:
         rows, lens = self._act(self._words(ids), self._len[ids], u[:, None])
         return rows[:, 0], lens[:, 0]
 
-    def _pair_step(self) -> int:
-        """(point, symbol) pairs per block of :meth:`_pair_rows`."""
-        return max(1, _BLOCK_ELEMENTS // (self._width + self._sym.shape[1]))
+    def _pair_step(self, width: int | None = None) -> int:
+        """(point, symbol) pairs per block of :meth:`_pair_rows`, or of
+        :meth:`_act` on rows of ``width`` columns."""
+        return max(1, _BLOCK_ELEMENTS // ((self._width if width is None else width) + self._sym.shape[1]))
 
     def _compose(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Hashes H(s x) of symbol s = ``u[i]`` applied to point x = ``ids[i]``,
@@ -548,9 +628,15 @@ class CayleyWindow:
         Growth stops once every point is expanded, the window holds ``cap``
         points or the next point to expand sits at depth ``max_depth``: the
         window is then full, and the symbol targets of the points not yet
-        expanded are left for :meth:`targets` to resolve on demand.  Blocks of points are
-        processed in turn, so no transient array exceeds a fixed number of
-        elements.
+        expanded are left for :meth:`targets` to resolve on demand.
+
+        Blocks of points are expanded in turn, so no transient array exceeds
+        a fixed number of elements, and each block is interned with one sort
+        (:meth:`_intern`).  A level that fits in one block, with nothing of
+        the next level found yet, starts a batch of several thin levels in one
+        block (:meth:`_expand`); the targets of the levels it passes through
+        are left unresolved too.  Ids, depths and targets are those of the
+        level-by-level growth.
 
         Each multiplication grows a syllable exponent by at most the largest
         symbol exponent, and every level holds a point, so images are at
@@ -558,25 +644,97 @@ class CayleyWindow:
         codes that could leave int64 on the way raise OverflowError up front.
         """
         self._check_reach((min(max_depth, cap) + 1) * self._max_exponent(self._sym))
+        U = len(self._sym)
         blocks: list[np.ndarray] = []
         i, hi = 0, 1  # the next point to expand, and the end of its level
         while i < self.size and self.size < cap and self._depth[i] < max_depth:
             if i == hi:
                 hi = self.size
-            j = min(hi, i + max(1, self._pair_step() // len(self._sym)))
-            blocks.append(self._expand(slice(i, j), cap - self.size, int(self._depth[i]) + 1))
+            d = int(self._depth[i])
+            j = min(hi, i + max(1, self._pair_step() // U))
+            # the rest of level d, and nothing of level d + 1 stored yet: a batch
+            levels = max_depth - d if j == hi == self.size else 1
+            rows, levels = self._expand(slice(i, j), cap - self.size, d, levels)
+            blocks.append(rows)
+            if levels > 1:  # levels d + 1 .. d + levels - 1 were passed through
+                hi = int(np.searchsorted(self._depth[: self.size], d + levels))
+                blocks.append(np.full((hi - j, U), _UNRESOLVED, dtype=np.int32))
+                j = hi
             i = j
-        unresolved = np.full((self.size - i, len(self._sym)), _UNRESOLVED, dtype=np.int32)
+        unresolved = np.full((self.size - i, U), _UNRESOLVED, dtype=np.int32)
         self._targets = np.concatenate([*blocks, unresolved])
 
-    def _expand(self, points, room: int, depth: int) -> np.ndarray:
-        """Ids of every symbol applied to the selected points, as int32 rows;
-        images not in the window join it at ``depth`` while there is room,
-        and the rest get -1."""
+    def _expand(
+        self, points: slice, room: int, depth: int, levels: int
+    ) -> tuple[np.ndarray, int]:
+        """Intern every symbol applied to the selected points, at depth ``depth
+        + 1``, and up to ``levels`` - 1 levels beyond; return the ids of the
+        first level's images as int32 rows, and the number of levels interned.
+
+        Images not in the window join it while there is room, and the rest
+        get -1.  Whenever ``levels`` > 1, the selected points must be the rest
+        of a level with nothing of the next level stored: the later tiers are
+        then the next levels' images in breadth-first order (:meth:`_tiers`),
+        and all tiers are interned in one call.
+        """
         U = len(self._sym)
         rows, lens = self._act(self._words(points), self._len[points], np.arange(U)[None, :])
-        ids = self._intern(rows.reshape(-1, rows.shape[-1]), lens.reshape(-1), room, depth)
-        return ids.reshape(-1, U).astype(np.int32)
+        rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
+        h = _hash(rows)
+        tiers = [(rows, lens, h)]
+        if levels > 1:
+            self._tiers(tiers, room, levels)
+        if len(tiers) > 1:
+            sizes = [len(n) for _, n, _ in tiers]
+            rows = np.zeros((sum(sizes), max(r.shape[1] for r, _, _ in tiers)), dtype=np.int64)
+            for (r, _, _), at in zip(tiers, np.cumsum(sizes) - sizes):
+                rows[at : at + len(r), : r.shape[1]] = r
+            lens, h = (np.concatenate([t[k] for t in tiers]) for k in (1, 2))
+            depth = np.repeat(depth + np.arange(len(tiers)), sizes)
+        ids = self._intern(rows, lens, room, depth + 1, h)
+        return ids[: U * (points.stop - points.start)].reshape(-1, U).astype(np.int32), len(tiers)
+
+    def _tiers(self, tiers: list, room: int, levels: int) -> None:
+        """Append to a batch whose one tier holds the images of a whole level
+        L, with nothing of level L + 1 stored, the tiers of the next levels.
+
+        A tier is rows, lengths and hashes of images.  The first tier's
+        images not stored are level L + 1, in breadth-first order.  Tier t
+        applies, item by item and symbol by symbol, every symbol to the new
+        words of tier t - 1 except the identity and the inverse of the symbol
+        that made the word, whose images are the word itself or a point one
+        level up, and never join.  While every item of tier t - 1 is a new
+        word, distinct from all others, tier t therefore lists the images of
+        level L + t - 1 in breadth-first order, and its new words are level L
+        + t in order.  A repeated or stored hash may mean a relation among the
+        symbols, so the batch ends at the first tier that shows one; it ends
+        too at ``levels`` tiers, once the window has no room for more, or
+        when the next tier would take the batch past the block's number of
+        elements.  The check is incremental: ``seen`` holds the hashes of the
+        index and of the batch's new words, sorted, and takes each tier's in
+        by one merge.
+        """
+        U, M = len(self._sym), self._sym.shape[1]
+        rows, lens, h = tiers[0]
+        live = np.flatnonzero(self._find(h, lambda idx: (rows[idx], lens[idx])) < 0)
+        s = np.sort(h[live])
+        if not live.size or (s[1:] == s[:-1]).any():
+            return
+        seen = _insert(self._index_fp, np.searchsorted(self._index_fp, s), s)
+        X, n, u = rows[live], lens[live], live % U
+        items, width, new = len(lens), rows.shape[1], len(live)
+        while len(tiers) < levels and new < room:
+            parent, v = np.nonzero(self._next[u])
+            if not v.size or (items + v.size) * (width + M) > _BLOCK_ELEMENTS:
+                break
+            X, n = (a[:, 0] for a in self._act(X[parent], n[parent], v[:, None]))
+            tiers.append((X, n, _hash(X)))
+            items, width, new, u = items + v.size, max(width, X.shape[1]), new + v.size, v
+            s = np.sort(tiers[-1][2])
+            at = np.searchsorted(seen, s)
+            if (s[1:] == s[:-1]).any() or (seen[np.minimum(at, len(seen) - 1)] == s).any():
+                break
+            seen = _insert(seen, at, s)
 
     def targets(self, ids: np.ndarray) -> np.ndarray:
         """Rows ``ids`` of the int32 symbol targets of the closed window.
@@ -626,7 +784,11 @@ class CayleyWindow:
             self._compose(ids[i : i + _BLOCK_PAIRS], u[i : i + _BLOCK_PAIRS])
             for i in range(0, len(ids), _BLOCK_PAIRS)
         ])
-        return _group(fp, lambda idx: self._pair_rows(ids[idx], u[idx]), self._pair_step())[1]
+        order = np.argsort(fp, kind="stable")
+        first = _group(fp, order, lambda idx: self._pair_rows(ids[idx], u[idx]), self._pair_step())
+        label = np.empty(len(fp), dtype=np.int64)
+        label[order] = _first_ranks(first, len(fp))
+        return label
 
 
 @dataclass

@@ -168,6 +168,50 @@ def reference_ball(space, center, radius):
     return list(seen)
 
 
+def reference_close(window, max_depth, cap):
+    """The breadth-first closure of a fresh ``CayleyWindow``, one level at a
+    time, as ``CayleyWindow.close`` grew windows before it batched thin
+    levels: level by level, every point's images under all symbols in
+    row-major (point, symbol) order, each image joining one level deeper
+    while its point's depth is below ``max_depth`` and fewer than ``cap``
+    points are held.  Images come from ``window._act``; words are interned in
+    a dict keyed by their codes, so no hash, sort or index of the window is
+    used, and the window is left as it was.
+
+    Returns the points' codes as tuples in id order, their depths, and the
+    table of every point's symbol targets (-1 outside), which a closed window
+    gives once all of them are resolved.
+    """
+    U = len(window._sym)
+
+    def images(words):
+        # codes of every symbol applied to each word, row-major, a level at a time
+        out = []
+        for i in range(0, len(words), 256):
+            part = words[i : i + 256]
+            X = np.zeros((len(part), max(map(len, part)) + 1), dtype=np.int64)
+            for r, w in enumerate(part):
+                X[r, : len(w)] = w
+            n = np.array([len(w) for w in part], dtype=np.int64)
+            rows, lens = window._act(X, n, np.arange(U)[None, :])
+            rows, lens = rows.reshape(-1, rows.shape[-1]).tolist(), lens.reshape(-1).tolist()
+            out += [tuple(row[:m]) for row, m in zip(rows, lens)]
+        return out
+
+    words, depth, index = [()], [0], {(): 0}
+    i = 0
+    while i < len(words) and len(words) < cap and depth[i] < max_depth:
+        d, level = depth[i], words[i:]
+        for image in images(level):
+            if image not in index and len(words) < cap:
+                index[image] = len(words)
+                words.append(image)
+                depth.append(d + 1)
+        i += len(level)
+    targets = np.array([index.get(x, -1) for x in images(words)], dtype=np.int64)
+    return words, depth, targets.reshape(len(words), U)
+
+
 def reference_Wj_collisions(h, g, J, L):
     """The translate-family collisions of ``check_Wj_disjoint``, by the
     direct loop: every translated word g^j u is evaluated into the acting

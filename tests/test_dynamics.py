@@ -673,26 +673,30 @@ def test_pingpong_trivial_words_match_ball_scan():
     assert found > 0
 
 
-def test_pair_ball_images_match_direct_evaluation():
-    # each image is its prefix's image times one syllable power; the oracle
-    # substitutes every syllable of every word afresh
-    for h, g in PAIRS:
-        abstract, rows, lens, images = _pair_ball(h, g, 6)
-        assert abstract == _abstract_pair(h, g)
-        words = CayleyWindow.decode(abstract, rows, lens)
-        assert words == reference_ball(CayleySpace(abstract), abstract.identity(), 6)
-        assert images == [evaluate_pair_word(w, (h, g)) for w in words], (h, g)
+def test_pair_ball_images_match_direct_evaluation(monkeypatch):
+    # each image is its breadth-first parent's image times one move, built as
+    # rows a block at a time; the oracle substitutes every syllable of every
+    # word afresh
+    for block in (spaces._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block)
+        for h, g in PAIRS:
+            abstract, rows, lens, image_rows, image_lens = _pair_ball(h, g, 6)
+            assert abstract == _abstract_pair(h, g)
+            words = CayleyWindow.decode(abstract, rows, lens)
+            assert words == reference_ball(CayleySpace(abstract), abstract.identity(), 6)
+            images = CayleyWindow.decode(h.presentation, image_rows, image_lens)
+            assert images == [evaluate_pair_word(w, (h, g)) for w in words], (h, g, block)
 
 
 def test_pingpong_enumerates_the_pair_ball_once(monkeypatch):
     calls = []
-    ball_codes = CayleySpace.ball_codes
+    ball_window = CayleySpace._ball_window
 
     def counted(self, radius):
         calls.append(radius)
-        return ball_codes(self, radius)
+        return ball_window(self, radius)
 
-    monkeypatch.setattr(CayleySpace, "ball_codes", counted)
+    monkeypatch.setattr(CayleySpace, "_ball_window", counted)
     rep = pingpong_certificate(T23, (S * T23) ** 2, 5, 6)
     assert calls == [5]
     assert not rep.disjointness.disjoint  # the translate check read that ball

@@ -1,15 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
-from actrep.groups import INFINITE, free_group, free_product
+from actrep import spaces
+from actrep.groups import INFINITE, conjugate_sequence, free_group, free_product
 from actrep.spaces import (
     BudgetExceededError,
     CayleySpace,
     CayleyWindow,
     orbit_decompose,
 )
-from oracles import reference_ball, reference_orbit_decompose
+from oracles import reference_ball, reference_close, reference_orbit_decompose
 
 F2 = free_group(2)
 A, B = F2.generators()
@@ -243,3 +245,104 @@ def test_faithfulness_cayley_pass():
 
 def test_faithfulness_z2z3_exhaustive():
     _assert_free(CayleySpace(Z2Z3), 6, 2)
+
+
+# -- breadth-first closure ---------------------------------------------------
+
+
+def _symbols(pres, words):
+    """The words, then their inverses, each once: the estimator's symbol order."""
+    union = list(dict.fromkeys([*words, *(w.inverse() for w in words)]))
+    return pres, union, [union.index(g.inverse()) for g in union]
+
+
+def _ball_symbols(pres):
+    """The inverse moves, whose window closes on the inverses of a ball's words."""
+    moves = CayleySpace(pres)._moves
+    inverses = [m.inverse() for m in moves]
+    return pres, inverses, [inverses.index(m) for m in moves]
+
+
+S, T = Z2Z3.generators()
+_AB = A * B
+_IDEAL = [E, *conjugate_sequence(_AB, A, 17), *conjugate_sequence(_AB, B, 17)]
+
+#: (symbols, max_depth, cap): lines, which batch hundreds of thin levels;
+#: exponential windows whose caps end mid-level and mid-batch; torsion and
+#: relations, which end batches early; the identity alone
+CLOSE_CASES = {
+    "F2 line a": (_symbols(F2, [A]), 301, 10**6),
+    "F2 line a b": (_symbols(F2, [_AB]), 301, 10**6),
+    "F2 line a b, depth cuts a batch": (_symbols(F2, [_AB]), 40, 10**6),
+    "F2 line a, cap mid-batch": (_symbols(F2, [A]), 301, 77),
+    "2e + b a": (_symbols(F2, [E, B * A]), 301, 10**6),
+    "conjugates J=2": (_symbols(F2, conjugate_sequence(B, A, 2)), 301, 3000),
+    "conjugates J=2, cap mid-level": (_symbols(F2, conjugate_sequence(B, A, 2)), 301, 1000),
+    "conjugates J=8, cap mid-batch": (_symbols(F2, conjugate_sequence(B, A, 8)), 301, 2000),
+    "F2 ball": (_ball_symbols(F2), 6, 10**6),
+    "Z ball": (_ball_symbols(Z), 400, 10**6),
+    "Z2*Z2 ball": (_ball_symbols(Z2Z2), 300, 10**6),
+    "Z2*Z3 t": (_symbols(Z2Z3, [T]), 301, 10**6),
+    "Z2*Z3 s t s": (_symbols(Z2Z3, [S * T * S]), 301, 10**6),
+    "Z3*Z4 ball": (_ball_symbols(Z3Z4), 7, 10**6),
+    "ideal c_j(a), c_j(b)": (_symbols(F2, _IDEAL), 51, 1500),
+    "identity only": (_symbols(F2, [E]), 301, 10**6),
+}
+
+
+def _assert_closes_as_reference(symbols, max_depth, cap):
+    words, depth, targets = reference_close(CayleyWindow(*symbols), max_depth, cap)
+    window = CayleyWindow(*symbols)
+    window.close(max_depth, cap)
+    rows, lens = window.codes(range(window.size))
+    assert [tuple(r[:n]) for r, n in zip(rows.tolist(), lens.tolist())] == words
+    assert window.depth.tolist() == depth
+    assert np.array_equal(window.targets(np.arange(window.size)), targets)
+    points = window.points(range(window.size))
+    assert CayleyWindow.decode(symbols[0], *window.inverse_codes()) == [x.inverse() for x in points]
+
+
+@pytest.mark.parametrize("block", [spaces._BLOCK_ELEMENTS, 4096, 300])
+@pytest.mark.parametrize("case", list(CLOSE_CASES))
+def test_close_matches_reference_close(monkeypatch, case, block):
+    # batches of thin levels give the ids, depths, words and targets of the
+    # closure one level at a time; smaller blocks move where batches start,
+    # end and meet levels that span several blocks
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block)
+    _assert_closes_as_reference(*CLOSE_CASES[case])
+
+
+@pytest.mark.parametrize("mask", [0, 3, 7])
+def test_close_exact_when_fingerprints_collide(monkeypatch, mask):
+    # mask 0 gives every word one hash, so every tier repeats one; 3 and 7
+    # leave runs of equal hashes that hold distinct words
+    hash_rows = spaces._hash
+    monkeypatch.setattr(spaces, "_hash", lambda rows: hash_rows(rows) & np.uint64(mask))
+    monkeypatch.setattr(
+        CayleyWindow, "_compose", lambda self, ids, u: spaces._hash(self._pair_rows(ids, u)[0])
+    )
+    for case in ("F2 line a b", "2e + b a", "Z2*Z3 s t s", "Z2*Z2 ball", "identity only"):
+        symbols, max_depth, _ = CLOSE_CASES[case]
+        _assert_closes_as_reference(symbols, min(max_depth, 60), 10**6)
+    for case in ("conjugates J=2, cap mid-level", "ideal c_j(a), c_j(b)", "Z3*Z4 ball"):
+        symbols, max_depth, _ = CLOSE_CASES[case]
+        _assert_closes_as_reference(symbols, max_depth, 150)
+
+
+def test_close_batches_thin_levels(monkeypatch):
+    # a line closes in one block per batch, not one per level; every block
+    # stays within the block's number of elements
+    sizes = []
+    intern = CayleyWindow._intern
+
+    def counted(self, rows, *args):
+        sizes.append(rows.size)
+        return intern(self, rows, *args)
+
+    monkeypatch.setattr(CayleyWindow, "_intern", counted)
+    most = {"F2 line a": 1, "Z ball": 1, "2e + b a": 5, "Z2*Z3 t": 1}  # blocks per closure
+    for case in CLOSE_CASES:
+        sizes.clear()
+        _assert_closes_as_reference(*CLOSE_CASES[case])
+        assert len(sizes) <= most.get(case, len(sizes)), case
+        assert max(sizes, default=0) <= spaces._BLOCK_ELEMENTS, case
