@@ -3,7 +3,8 @@
 Each ``tests/golden/<name>.cfg`` names its experiment; the CSV, the text
 summary and the exit code of running it must equal the stored files byte for
 byte.  These experiments use exact word and coefficient arithmetic only, so
-their outputs do not depend on numpy or BLAS.
+their outputs do not depend on numpy or BLAS.  ``orbits_torsion.svg`` pins
+the chart that ``--svg`` writes for one of them.
 """
 
 from pathlib import Path
@@ -16,9 +17,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 
 
-def run_case(directory: Path, name: str, out: Path) -> int:
-    """Run ``<directory>/<name>.cfg`` through the CLI into ``out``; a
-    ``<name>.seed`` file next to it passes ``--seed``.  Returns the exit code."""
+def run_case(directory: Path, name: str, out: Path, *options: str) -> int:
+    """Run ``<directory>/<name>.cfg`` through the CLI into ``out`` with
+    ``options``; a ``<name>.seed`` file next to it passes ``--seed``.
+    Returns the exit code."""
     cfg = directory / f"{name}.cfg"
     experiment = next(
         line.partition("=")[2].strip()
@@ -27,7 +29,7 @@ def run_case(directory: Path, name: str, out: Path) -> int:
     )
     seed = directory / f"{name}.seed"
     extra = ["--seed", seed.read_text().strip()] if seed.exists() else []
-    return main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+    return main([experiment, "--config", str(cfg), "--out", str(out), *extra, *options])
 
 
 def assert_golden(directory: Path, name: str, out: Path, code: int) -> None:
@@ -54,3 +56,9 @@ def test_golden_cases_present():
 def test_golden_output(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert_golden(GOLDEN, name, out, run_case(GOLDEN, name, out))
+
+
+def test_golden_chart(tmp_path):
+    out = tmp_path / "orbits_torsion.csv"
+    assert_golden(GOLDEN, "orbits_torsion", out, run_case(GOLDEN, "orbits_torsion", out, "--svg"))
+    assert out.with_suffix(".svg").read_bytes() == (GOLDEN / "orbits_torsion.svg").read_bytes()
