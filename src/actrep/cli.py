@@ -1,10 +1,11 @@
 """Experiment runner: every engine as a subcommand with deterministic output.
 
 Configs are flat key=value text files (one dotted key per line, ``#`` starts
-a comment).  Each run writes a fixed-schema CSV, prints a plain-text
-summary, optionally emits a small SVG chart, and exits 0 on PASS, 1 on
-FALSIFIED (serializing the falsifying witness vector alongside the CSV),
-2 on INCONCLUSIVE, 3 on configuration or usage errors.  A run that writes a
+a comment).  Each run writes its runner's value rows as a fixed-schema CSV
+(:func:`write_csv`), prints a plain-text summary, optionally emits a small
+SVG chart, and exits 0 on PASS, 1 on FALSIFIED (serializing the falsifying
+witness vector alongside the CSV), 2 on INCONCLUSIVE, 3 on configuration or
+usage errors, an unwritable output path among them.  A run that writes a
 CSV removes every sidecar (summary, witness, chart) that it does not write
 itself, so no file an earlier run left at that path outlives it; a budget
 overflow writes only the CSV header.
@@ -19,7 +20,8 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,14 +142,12 @@ def parse_operator(text: str, presentation: FreeProductPresentation) -> FormalOp
 
 @dataclass
 class Budgets:
+    """The runners' budgets; the estimator's are :class:`NormBudget`'s fields."""
+
     J_max: int = 8
     J_list: tuple[int, ...] | None = None
     L: int = 6
     R: int = 6
-    max_iterations: int = NormBudget.max_iterations
-    support_cap: int = NormBudget.support_cap
-    prune_threshold: float = NormBudget.prune_threshold
-    residual_target: float = NormBudget.residual_target
     c_min: float = 0.5
     C: float = 2.0
     N: int = 4
@@ -161,6 +161,7 @@ class ExperimentConfig:
     operators: dict[str, str]
     subgroup: list[str]
     budgets: Budgets
+    norm_budget: NormBudget
     output: str | None = None
 
     def element(self, name: str) -> GroupElement:
@@ -205,34 +206,54 @@ def load_config_lines(path: str) -> dict[str, str]:
     return raw
 
 
-_INT_BUDGETS = {"J_max", "L", "R", "max_iterations", "support_cap", "N"}
-_FLOAT_BUDGETS = {"prune_threshold", "residual_target", "c_min", "C"}
+#: The keys without a prefix and their defaults; None marks no default.
+_TOP_KEYS = {"presentation.orders": None, "presentation.names": None, "action": "cayley",
+             "experiment": "", "output.path": None}
+
+#: ``budgets.<name>``: the dataclass whose field it sets, and that field's
+#: default, which types the value (``start_vector`` comes from ``--seed``).
+_BUDGET_FIELDS = {
+    f.name: (cls, f.default)
+    for cls in (NormBudget, Budgets)
+    for f in fields(cls)
+    if f.name != "start_vector"
+}
+
+
+def _budget_value(default, text: str):
+    """An int, a finite float, or for ``J_list`` (default None) a comma list of ints."""
+    if default is None:
+        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+    value = type(default)(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentConfig:
-    if "presentation.orders" not in raw:
+    top = {key: raw.get(key, default) for key, default in _TOP_KEYS.items()}
+    if top["presentation.orders"] is None:
         raise ConfigError(f"{source}: missing key presentation.orders")
-    orders = _parse_orders(raw["presentation.orders"])
-    names_text = raw.get("presentation.names")
-    names = (
-        tuple(n.strip() for n in names_text.split(",")) if names_text is not None else None
-    )
+    orders = _parse_orders(top["presentation.orders"])
+    names_text = top["presentation.names"]
+    if names_text is None:
+        names = tuple(chr(ord("a") + i) for i in range(len(orders)))
+    else:
+        names = tuple(n.strip() for n in names_text.split(","))
     try:
-        presentation = FreeProductPresentation(
-            orders, names if names is not None else tuple(chr(ord("a") + i) for i in range(len(orders)))
-        )
+        presentation = FreeProductPresentation(orders, names)
     except ValueError as exc:
         raise ConfigError(f"{source}: bad presentation: {exc}") from None
 
-    action = raw.get("action", "cayley")
+    action = top["action"]
     if action != "cayley":
         raise ConfigError(f"{source}: unsupported action {action!r}")
 
-    experiment = raw.get("experiment", "")
+    experiment = top["experiment"]
     if experiment and experiment not in EXPERIMENTS:
         raise ConfigError(f"{source}: unknown experiment {experiment!r}")
 
-    budgets = Budgets()
+    budgets: dict[type, dict] = {NormBudget: {}, Budgets: {}}
     elements: dict[str, str] = {}
     operators: dict[str, str] = {}
     subgroup: list[str] = []
@@ -245,29 +266,14 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
             subgroup = [part.strip() for part in value.split(";") if part.strip()]
         elif key.startswith("budgets."):
             name = key.split(".", 1)[1]
+            if name not in _BUDGET_FIELDS:
+                raise ConfigError(f"{source}: unknown budget key {key!r}")
+            cls, default = _BUDGET_FIELDS[name]
             try:
-                if name in _INT_BUDGETS:
-                    setattr(budgets, name, int(value))
-                elif name in _FLOAT_BUDGETS:
-                    number = float(value)
-                    if not math.isfinite(number):
-                        raise ValueError(value)
-                    setattr(budgets, name, number)
-                elif name == "J_list":
-                    budgets.J_list = tuple(int(p.strip()) for p in value.split(",") if p.strip())
-                else:
-                    raise ConfigError(f"{source}: unknown budget key {key!r}")
+                budgets[cls][name] = _budget_value(default, value)
             except ValueError:
                 raise ConfigError(f"{source}: bad value for {key}: {value!r}") from None
-        elif key in (
-            "presentation.orders",
-            "presentation.names",
-            "action",
-            "experiment",
-            "output.path",
-        ):
-            continue
-        else:
+        elif key not in _TOP_KEYS:
             raise ConfigError(f"{source}: unknown key {key!r}")
     return ExperimentConfig(
         presentation=presentation,
@@ -275,8 +281,9 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         elements=elements,
         operators=operators,
         subgroup=subgroup,
-        budgets=budgets,
-        output=raw.get("output.path"),
+        budgets=Budgets(**budgets[Budgets]),
+        norm_budget=NormBudget(**budgets[NormBudget]),
+        output=top["output.path"],
     )
 
 
@@ -287,7 +294,7 @@ def param_hash(raw: dict[str, str], seed: int | None, slack: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rows and serialization
+# results
 
 
 def fmt(x: float) -> str:
@@ -296,36 +303,9 @@ def fmt(x: float) -> str:
 
 
 @dataclass
-class ResultRow:
-    experiment: str
-    param_hash: str
-    index: int
-    bound: float
-    estimate: float
-    residual: float
-    support: int
-    converged: bool
-    verdict: str
-
-    def to_csv(self) -> str:
-        return ",".join(
-            (
-                self.experiment,
-                self.param_hash,
-                str(self.index),
-                fmt(self.bound),
-                fmt(self.estimate),
-                fmt(self.residual),
-                str(self.support),
-                "true" if self.converged else "false",
-                self.verdict,
-            )
-        )
-
-
-@dataclass
 class ExperimentResult:
-    """A runner's output; each row holds the ResultRow fields after ``param_hash``."""
+    """A runner's output; each row holds a CSV row's values after ``param_hash``,
+    (index, bound, estimate, residual, support, converged, verdict)."""
 
     rows: list[tuple]
     verdict: str
@@ -360,14 +340,13 @@ def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBud
     hash.  It is the same in every process (a tuple of ints is not salted),
     but a change to it would move every seeded estimate.
     """
-    start = None
-    if seed is not None:
-        rng = random.Random(seed)
-        space = CayleySpace(config.presentation)
-        points = [space.base_point] + [g * space.base_point for g in symbols]
-        start = StateVector(space, {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in points})
-    b = config.budgets
-    return NormBudget(b.max_iterations, b.support_cap, b.prune_threshold, b.residual_target, start)
+    if seed is None:
+        return config.norm_budget
+    rng = random.Random(seed)
+    space = CayleySpace(config.presentation)
+    points = [space.base_point] + [g * space.base_point for g in symbols]
+    start = StateVector(space, {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in points})
+    return replace(config.norm_budget, start_vector=start)
 
 
 def _sweep_result(rep: EnvelopeReport, summary: list[str]) -> ExperimentResult:
@@ -540,19 +519,35 @@ EXPERIMENTS = tuple(RUNNERS)
 # output artifacts
 
 
-def write_csv(path: Path, rows: list[ResultRow]) -> None:
-    lines = [CSV_HEADER] + [r.to_csv() for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+@contextmanager
+def _naming(path: Path):
+    """Report an OSError on ``path`` as a usage error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
-def write_svg(path: Path, rows: list[ResultRow]) -> None:
-    """Decorative estimate-vs-bound polyline chart; acceptance never needs it."""
+def write_csv(path: Path, experiment: str, ph: str, rows: list[tuple]) -> None:
+    """The header, then each runner row after its ``experiment`` and ``ph``."""
+    lines = [CSV_HEADER] + [
+        f"{experiment},{ph},{index},{fmt(bound)},{fmt(estimate)},{fmt(residual)},{support},"
+        f"{'true' if converged else 'false'},{verdict}"
+        for index, bound, estimate, residual, support, converged, verdict in rows
+    ]
+    with _naming(path):
+        path.write_text("\n".join(lines) + "\n")
+
+
+def write_svg(path: Path, rows: list[tuple]) -> None:
+    """Decorative estimate-vs-bound chart of runner rows; acceptance never needs it."""
     if not rows:
-        path.write_text('<svg xmlns="http://www.w3.org/2000/svg" width="480" height="320"/>\n')
+        with _naming(path):
+            path.write_text('<svg xmlns="http://www.w3.org/2000/svg" width="480" height="320"/>\n')
         return
     w, h, pad = 480, 320, 40
-    xs = [r.index for r in rows]
-    ys = [v for r in rows for v in (r.bound, r.estimate)]
+    xs = [r[0] for r in rows]
+    ys = [v for r in rows for v in r[1:3]]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(ys + [1e-12])
     span_x = (x_hi - x_lo) or 1
@@ -571,12 +566,13 @@ def write_svg(path: Path, rows: list[ResultRow]) -> None:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
-        polyline([(r.index, r.bound) for r in rows], "#888888"),
-        polyline([(r.index, r.estimate) for r in rows], "#1f77b4"),
+        polyline([(r[0], r[1]) for r in rows], "#888888"),
+        polyline([(r[0], r[2]) for r in rows], "#1f77b4"),
         f'<text x="{pad}" y="{pad - 12}" font-size="12">estimate (blue) vs bound (gray)</text>',
         "</svg>",
     ]
-    path.write_text("\n".join(parts) + "\n")
+    with _naming(path):
+        path.write_text("\n".join(parts) + "\n")
 
 
 def run(
@@ -614,25 +610,27 @@ def run(
         raise ConfigError(f"{config_path}: {exc}") from None
     for path in (tpath, wpath, spath):
         # a sidecar this run does not write below would be an earlier run's
-        path.unlink(missing_ok=True)
+        with _naming(path):
+            path.unlink(missing_ok=True)
     if isinstance(result, BudgetExceededError):
-        write_csv(out, [])
+        write_csv(out, experiment, ph, [])
         print(f"budget overflow: {result}", file=sys.stderr)
         print(f"partial csv: {out}")
         return EXIT_INCONCLUSIVE
 
-    rows = [ResultRow(experiment, ph, *values) for values in result.rows]
     summary = result.summary + [f"verdict: {result.verdict}"]
-    write_csv(out, rows)
+    write_csv(out, experiment, ph, result.rows)
     artifacts = [str(out)]
-    tpath.write_text("\n".join(summary) + "\n")
+    with _naming(tpath):
+        tpath.write_text("\n".join(summary) + "\n")
     artifacts.append(str(tpath))
     if result.witness is not None:
         payload = _witness_payload(experiment, result.witness)
-        wpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        with _naming(wpath):
+            wpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         artifacts.append(str(wpath))
     if emit_svg:
-        write_svg(spath, rows)
+        write_svg(spath, result.rows)
         artifacts.append(str(spath))
 
     for line in summary:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -110,19 +111,68 @@ def test_load_config_diagnostics(tmp_path):
 
 
 def test_build_config_rejects_unknown_key(tmp_path):
-    raw = load_config_lines(
-        write_config(tmp_path, "presentation.orders = inf, inf\nmystery = 1\n")
-    )
-    with pytest.raises(ConfigError):
-        build_config(raw)
+    for line, message in [
+        ("mystery = 1", "unknown key 'mystery'"),
+        ("presentation.bogus = 1", "unknown key 'presentation.bogus'"),
+        # the start vector comes from --seed, never from the config
+        ("budgets.start_vector = 1", "unknown budget key 'budgets.start_vector'"),
+        ("budgets.bogus = 1", "unknown budget key 'budgets.bogus'"),
+    ]:
+        raw = load_config_lines(
+            write_config(tmp_path, f"presentation.orders = inf, inf\n{line}\n")
+        )
+        with pytest.raises(ConfigError) as err:
+            build_config(raw)
+        assert str(err.value) == f"<config>: {message}"
 
 
 def test_build_config_rejects_bad_budget(tmp_path):
-    raw = load_config_lines(
-        write_config(tmp_path, "presentation.orders = inf, inf\nbudgets.J_max = soon\n")
-    )
-    with pytest.raises(ConfigError):
-        build_config(raw)
+    for key, value in [
+        ("J_max", "soon"),
+        ("support_cap", "2.5"),
+        ("max_iterations", "2.5"),
+        ("prune_threshold", "nan"),
+        ("residual_target", "inf"),
+        ("C", "nan"),
+        ("J_list", "1, x"),
+    ]:
+        raw = load_config_lines(
+            write_config(tmp_path, f"presentation.orders = inf, inf\nbudgets.{key} = {value}\n")
+        )
+        with pytest.raises(ConfigError) as err:
+            build_config(raw)
+        assert str(err.value) == f"<config>: bad value for budgets.{key}: {value!r}"
+
+
+# every budgets.<name> the CLI accepts: (default, a value's text, its parse)
+BUDGET_KEYS = {
+    "J_max": (8, "3", 3),
+    "J_list": (None, "1, 2,,4", (1, 2, 4)),
+    "L": (6, "3", 3),
+    "R": (6, "3", 3),
+    "c_min": (0.5, "3", 3.0),
+    "C": (2.0, "3", 3.0),
+    "N": (4, "3", 3),
+    "max_iterations": (150, "3", 3),
+    "support_cap": (30_000, "3", 3),
+    "prune_threshold": (1e-8, "3", 3.0),
+    "residual_target": (1e-6, "3", 3.0),
+}
+
+
+def _budget_values(tmp_path, text):
+    config = build_config(load_config_lines(write_config(tmp_path, "presentation.orders = inf\n" + text)))
+    values = {**asdict(config.budgets), **asdict(cli._norm_budget(config, None, []))}
+    assert values.pop("start_vector") is None
+    return values
+
+
+def test_budget_keys_keep_their_types_and_defaults(tmp_path):
+    given = "".join(f"budgets.{name} = {text}\n" for name, (_, text, _) in BUDGET_KEYS.items())
+    for values, column in ((_budget_values(tmp_path, ""), 0), (_budget_values(tmp_path, given), 2)):
+        want = {name: row[column] for name, row in BUDGET_KEYS.items()}
+        assert values == want
+        assert {k: type(v) for k, v in values.items()} == {k: type(v) for k, v in want.items()}
 
 
 def test_panalytic_run_pass(tmp_path, capsys):
@@ -728,3 +778,22 @@ def test_csv_path_with_a_sidecar_suffix_exit_3(tmp_path, capsys, monkeypatch, ex
         f"error: {path}: the CSV path must not end in .txt or .svg, the sidecars' suffixes\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("missing_dir/run.csv", "missing_dir/run.csv: No such file or directory"),
+        ("a_dir", "a_dir: Is a directory"),
+        # a sidecar that cannot be removed
+        ("blocked.csv", "blocked.txt: Is a directory"),
+    ],
+    ids=["missing-directory", "csv-is-a-directory", "summary-is-a-directory"],
+)
+def test_unwritable_output_path_exit_3(tmp_path, capsys, monkeypatch, out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "blocked.txt").mkdir()
+    write_config(tmp_path, ORBITS_CFG)
+    assert main(["orbits", "--config", "exp.cfg", "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
