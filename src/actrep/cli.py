@@ -376,7 +376,9 @@ def run_average(config: ExperimentConfig, seed: int | None, slack: float) -> Exp
     T = config.operator("T")
     g = config.element("g")
     b = config.budgets
-    J_list = list(b.J_list) if b.J_list else list(range(1, b.J_max + 1))
+    if b.J_list is None and b.J_max < 1:
+        raise ValueError("J_max must be >= 1")
+    J_list = list(b.J_list) if b.J_list is not None else list(range(1, b.J_max + 1))
     budget = _norm_budget(config, seed, T.support)
     rep = averaging_decay_report(T, g, J_list, C=b.C, budget=budget, slack=slack)
     summary = [
@@ -529,9 +531,23 @@ def _naming(path: Path):
 
 
 def write_csv(path: Path, experiment: str, ph: str, rows: list[tuple]) -> None:
-    """The header, then each runner row after its ``experiment`` and ``ph``."""
+    """The header, then each runner row after its ``experiment`` and ``ph``.
+
+    Each distinct float is formatted once per file (an orbits run repeats a
+    few values over tens of thousands of rows).  0.0 and -0.0 are one dict
+    key but print apart, so a zero is keyed with its sign.
+    """
+    memo: dict = {}
+
+    def text(x: float) -> str:
+        key = x or (x, math.copysign(1.0, x))
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = fmt(x)
+        return s
+
     lines = [CSV_HEADER] + [
-        f"{experiment},{ph},{index},{fmt(bound)},{fmt(estimate)},{fmt(residual)},{support},"
+        f"{experiment},{ph},{index},{text(bound)},{text(estimate)},{text(residual)},{support},"
         f"{'true' if converged else 'false'},{verdict}"
         for index, bound, estimate, residual, support, converged, verdict in rows
     ]

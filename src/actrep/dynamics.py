@@ -348,8 +348,11 @@ def averaging_decay_report(
     For each J the residual M_J(T) - a_e e is formed symbolically (its
     identity coefficient cancels exactly) and its norm estimate is compared
     against (C/sqrt(J)) times the l1 mass of T off the identity.  A residual
-    that keeps an identity coefficient falsifies its row.
+    that keeps an identity coefficient falsifies its row.  An empty
+    ``J_list`` raises ValueError: a sweep of no rows would pass vacuously.
     """
+    if not J_list:
+        raise ValueError("J_list must not be empty")
     return _averaging_sweep(T, g, J_list, C, budget, slack, identity_falsifies=True)
 
 

@@ -119,6 +119,10 @@ _BLOCK_ELEMENTS = 1 << 16
 #: (point, symbol) pairs whose images one block of a lookup fingerprints.
 _BLOCK_PAIRS = 1 << 14
 
+#: Columns :meth:`CayleyWindow._compose` compares one at a time before it
+#: reads the rest of a cancellation off the symbols' sorted table.
+_LOOP_COLUMNS = 4
+
 #: Least share by which a window's store widens when a longer word joins it.
 _WIDTH_GROWTH = 0.25
 
@@ -211,6 +215,45 @@ def _group(fp: np.ndarray, order: np.ndarray, rows_of, step: int) -> np.ndarray:
     return first
 
 
+def _stable_argsort(h: np.ndarray) -> np.ndarray:
+    """``np.argsort(h, kind="stable")``: numpy's faster unstable sort,
+    after which each run of equal hashes is put in increasing order of item,
+    by one sort of the runs' items alone."""
+    n = len(h)
+    order = np.argsort(h)
+    s = h[order]
+    later = np.zeros(n, dtype=bool)  # equal to the hash before it
+    later[1:] = s[1:] == s[:-1]
+    if later.any():
+        tied = later.copy()
+        tied[:-1] |= later[1:]
+        at = np.flatnonzero(tied)
+        run = np.cumsum(~later)[at]  # the run of each tied position, increasing
+        order[at] = np.sort(run * n + order[at]) % n
+    return order
+
+
+def _repeats(seen: np.ndarray, h: np.ndarray) -> tuple[int, np.ndarray]:
+    """The position of the first of the hashes ``h`` that is in the sorted
+    ``seen`` or equals an earlier one, or ``len(h)`` when none does; and
+    ``seen`` with every hash of ``h`` merged in when none does."""
+    order = _stable_argsort(h)
+    s = h[order]
+    at = np.searchsorted(seen, s)
+    clash = seen[np.minimum(at, len(seen) - 1)] == s
+    clash[1:] |= s[1:] == s[:-1]  # the later of two equal hashes, by the stable order
+    if clash.any():
+        return int(order[clash].min()), seen
+    return len(h), _insert(seen, at, s)
+
+
+def _prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Length of the longest common prefix of each row of ``a`` and the row of
+    ``b`` at the same position, rows of one width."""
+    differ = a != b
+    return np.where(differ.any(axis=1), differ.argmax(axis=1), a.shape[1])
+
+
 def _first_ranks(first: np.ndarray, n: int) -> np.ndarray:
     """Rank of each of the items ``first`` among the distinct ones, in
     increasing order of item, out of ``n`` items: a mark and a cumulative sum
@@ -255,7 +298,15 @@ class CayleyWindow:
     while no image repeats a word, the images of each new word, in order,
     are the next level's, so (point, u1, ..., ut) order is breadth-first
     order (:meth:`_tiers`); a line of hundreds of levels closes in a few
-    blocks.
+    blocks.  A window acted on by one element x and its inverse, besides
+    the identity, is the line of the powers of x: its levels are found by
+    doubling, t levels from one multiplication by x**t and x**-t
+    (:meth:`_double`), so such a line costs a logarithmic number of passes.
+
+    :meth:`_compose` finds a cancellation column by column for its first
+    ``_LOOP_COLUMNS`` syllables; longer ones are read off a table of the
+    symbols' inverses sorted as byte keys, built the first time one occurs
+    (:meth:`_common_prefix`).
     """
 
     def __init__(
@@ -273,6 +324,10 @@ class CayleyWindow:
         # the symbols a batch applies after each symbol: neither its inverse nor the identity
         U = len(self.inverse)
         self._next = (np.arange(U) != self.inverse[:, None]) & (self._sym_len > 0)
+        # the positions of x and x^-1 when they are the only symbols besides the identity
+        line = np.flatnonzero(self._sym_len > 0)
+        self._line = line if len(line) == 2 and self.inverse[line[0]] == line[1] else None
+        self._sorted_inverses = None  # built by _common_prefix on first need
         self._sym_prefix = _prefix_hashes(self._sym)
         self._inv_prefix = _prefix_hashes(self._sym_inv)
         self._pow = _powers(self._sym.shape[1])
@@ -425,7 +480,7 @@ class CayleyWindow:
 
         ``depth`` is the depth of every word, or one for all; ``h`` their
         hashes, if the caller has them.  The hashes are sorted once, by a
-        stable argsort, and everything else is read off that one order: the
+        stable argsort (:func:`_stable_argsort`), and everything else is read off that one order: the
         lookup of stored words (:meth:`_match`), the grouping of the misses
         by their words (:func:`_group`), their ids by first occurrence
         (:func:`_first_ranks`) and the merge of the new words into the sorted
@@ -433,7 +488,7 @@ class CayleyWindow:
         """
         if h is None:
             h = _hash(rows)
-        order = np.argsort(h, kind="stable")
+        order = _stable_argsort(h)
         rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
         ids, end = self._match(h[order], order, rows_of)
         missed = np.flatnonzero(ids[order] < 0)
@@ -526,23 +581,28 @@ class CayleyWindow:
         """The largest absolute syllable exponent in rows of codes."""
         return int(np.abs(rows // self._rank).max(initial=0))
 
-    def _act(self, X: np.ndarray, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _act(
+        self, X: np.ndarray, n: np.ndarray, u: np.ndarray, table: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Rows and lengths of symbol ``u[i, j]`` applied to the word in row ``X[i]``.
 
         ``X`` holds ``B`` rows of length ``n`` and ``u`` has shape (B, U) or
-        (1, U); the result has shape (B, U, width).  Left multiplication
-        cancels the longest prefix of the word that matches the symbol's
-        inverse, merges the next two syllables when they share a factor, and
-        shifts the rest of the word behind what is left of the symbol.
+        (1, U); the result has shape (B, U, width).  ``table`` holds the
+        rows, lengths and inverses' rows of the elements that ``u`` indexes,
+        by default the window's symbols.  Left multiplication cancels the
+        longest prefix of the word that matches the symbol's inverse, merges
+        the next two syllables when they share a factor, and shifts the rest
+        of the word behind what is left of the symbol.
         """
+        sym, sym_len, sym_inv = table or (self._sym, self._sym_len, self._sym_inv)
         B, W = X.shape
-        M = self._sym.shape[1]
-        m = self._sym_len[u]
+        M = sym.shape[1]
+        m = sym_len[u]
         c = min(W, M)
         same = np.zeros((B, u.shape[1], c + 1), dtype=bool)  # a last False column ends every run
-        np.equal(X[:, None, :c], self._sym_inv[u][..., :c], out=same[..., :c])
+        np.equal(X[:, None, :c], sym_inv[u][..., :c], out=same[..., :c])
         k = np.minimum(same.argmin(axis=-1), m)  # the leading matches
-        a = self._sym[u, np.maximum(m - 1 - k, 0)]
+        a = sym[u, np.maximum(m - 1 - k, 0)]
         row = np.arange(B)[:, None]
         b = X[row, k]
         R = self._rank
@@ -558,7 +618,7 @@ class CayleyWindow:
         np.minimum(src, (start + W - 1)[..., None], out=src)  # past the word: its zero column
         out = padded.reshape(-1)[src]
         P = int(p.max(initial=0))  # columns that keep syllables of a symbol
-        np.copyto(out[..., :P], self._sym[u[..., None], col[:P]], where=col[:P] < p[..., None])
+        np.copyto(out[..., :P], sym[u[..., None], col[:P]], where=col[:P] < p[..., None])
         i, j = np.nonzero(merge)
         if i.size:
             out[i, j, p[i, j]] = self._merged(a[i, j], b[i, j])
@@ -589,8 +649,11 @@ class CayleyWindow:
 
         x[:k] is the first k syllables of s**-1, so every term but H(x) and
         the merged syllable comes from the symbols' prefix hashes.  k is found
-        by comparing column after column the pairs that still cancel, so the
-        work per pair is constant plus its cancelled columns.
+        by comparing column after column the pairs that still cancel, for
+        the first ``_LOOP_COLUMNS`` columns; a pair that still cancels after
+        them takes k = min(m, the longest common prefix of x and s**-1) from
+        the symbols' sorted table (:meth:`_common_prefix`).  So the work per
+        pair is constant plus its cancelled columns up to that many.
         """
         X = self._rows
         n = self._len[ids]
@@ -598,10 +661,12 @@ class CayleyWindow:
         k = np.zeros(len(ids), dtype=np.int64)
         live = np.arange(len(ids))
         col = 0
-        while live.size:
+        while live.size and col < _LOOP_COLUMNS:
             live = live[(col < m[live]) & (X[ids[live], col] == self._sym_inv[u[live], col])]
             col += 1
             k[live] = col
+        if live.size:
+            k[live] = np.minimum(m[live], self._common_prefix(ids[live], u[live]))
         a = self._sym[u, np.maximum(m - 1 - k, 0)]
         b = X[ids, k]
         R = self._rank
@@ -617,6 +682,50 @@ class CayleyWindow:
         drop = self._inv_prefix[u, k] + cut.view(np.uint64) * self._pow[k]
         shift = self._pow_inv[k + merge] * self._pow[p + merge]
         return head + (self._hx[ids] - drop) * shift
+
+    def _common_prefix(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Length of the longest common prefix of the row of point ``ids[i]``
+        and that of the inverse of symbol ``u[i]``, over the symbols' width.
+
+        The inverses' rows are sorted once per window, as fixed-width byte
+        keys: in a lexicographic order the common prefix of two rows is the
+        least common prefix of neighbours between them, read off a sparse
+        table of range minima.  Each distinct point is placed in that order
+        by one binary search, and compared with its two neighbours there;
+        each pair then costs O(1).
+        """
+        U, M = self._sym.shape
+        keys_of = lambda rows: rows.view(f"S{8 * M}").ravel()  # noqa: E731
+        if self._sorted_inverses is None:
+            order = np.argsort(keys_of(self._sym_inv))
+            rows = self._sym_inv[order]
+            rank = np.empty(U, dtype=np.int64)
+            rank[order] = np.arange(U)
+            # entry [j, i] is the least of the neighbours' prefixes i .. i + 2**j - 1
+            lcp = np.full((U.bit_length(), U), M, dtype=np.int64)
+            lcp[0, :-1] = _prefix_lengths(rows[:-1], rows[1:])
+            for j in range(1, len(lcp)):
+                half = 1 << (j - 1)
+                lcp[j, :-half] = np.minimum(lcp[j - 1, :-half], lcp[j - 1, half:])
+            self._sorted_inverses = rows, keys_of(rows), rank, lcp
+        rows, keys, rank, lcp = self._sorted_inverses
+        points, run = np.unique(ids, return_inverse=True)
+        x = np.zeros((len(points), M), dtype=np.int64)
+        w = min(M, self._rows.shape[1])
+        x[:, :w] = self._rows[points, :w]
+        at = np.searchsorted(keys, keys_of(x))  # rows[at - 1] < x <= rows[at]
+        left = _prefix_lengths(x, rows[np.maximum(at - 1, 0)])
+        right = _prefix_lengths(x, rows[np.minimum(at, U - 1)])
+        at, r = at[run], rank[u]
+        after = r >= at
+        # neighbours' prefixes from x's place to the inverse's: [lo, hi), none when empty
+        lo = np.where(after, at, r)
+        hi = np.where(after, r, at - 1)
+        edge = np.where(after, right[run], left[run])
+        span = hi - lo
+        j = np.log2(np.maximum(span, 1)).astype(np.int64)  # two ranges of 2**j cover [lo, hi)
+        inner = np.minimum(lcp[j, lo], lcp[j, np.maximum(hi - (1 << j), 0)])
+        return np.where(span > 0, np.minimum(edge, inner), edge)
 
     def close(self, max_depth: int, cap: int) -> None:
         """Grow the window breadth-first until no point can join.
@@ -635,7 +744,10 @@ class CayleyWindow:
         (:meth:`_intern`).  A level that fits in one block, with nothing of
         the next level found yet, starts a batch of several thin levels in one
         block (:meth:`_expand`); the targets of the levels it passes through
-        are left unresolved too.  Ids, depths and targets are those of the
+        are left unresolved too.  A window of one element and its inverse
+        finds a batch's levels by doubling (:meth:`_double`); where a level
+        repeats a hash, its batch ends and the growth goes on from there
+        level by level.  Ids, depths and targets are those of the
         level-by-level growth.
 
         Each multiplication grows a syllable exponent by at most the largest
@@ -712,7 +824,8 @@ class CayleyWindow:
         when the next tier would take the batch past the block's number of
         elements.  The check is incremental: ``seen`` holds the hashes of the
         index and of the batch's new words, sorted, and takes each tier's in
-        by one merge.
+        by one merge (:func:`_repeats`).  A window of one element and its
+        inverse takes its tiers by doubling (:meth:`_double`).
         """
         U, M = len(self._sym), self._sym.shape[1]
         rows, lens, h = tiers[0]
@@ -722,6 +835,9 @@ class CayleyWindow:
             return
         seen = _insert(self._index_fp, np.searchsorted(self._index_fp, s), s)
         X, n, u = rows[live], lens[live], live % U
+        if self._line is not None:
+            self._double(tiers, room, levels, seen, X, n, u)
+            return
         items, width, new = len(lens), rows.shape[1], len(live)
         while len(tiers) < levels and new < room:
             parent, v = np.nonzero(self._next[u])
@@ -730,11 +846,73 @@ class CayleyWindow:
             X, n = (a[:, 0] for a in self._act(X[parent], n[parent], v[:, None]))
             tiers.append((X, n, _hash(X)))
             items, width, new, u = items + v.size, max(width, X.shape[1]), new + v.size, v
-            s = np.sort(tiers[-1][2])
-            at = np.searchsorted(seen, s)
-            if (s[1:] == s[:-1]).any() or (seen[np.minimum(at, len(seen) - 1)] == s).any():
+            first, seen = _repeats(seen, tiers[-1][2])
+            if first < v.size:
                 break
-            seen = _insert(seen, at, s)
+
+    def _double(
+        self,
+        tiers: list,
+        room: int,
+        levels: int,
+        seen: np.ndarray,
+        X: np.ndarray,
+        n: np.ndarray,
+        u: np.ndarray,
+    ) -> None:
+        """:meth:`_tiers` for a window whose symbols other than the identity
+        are one element x and its inverse: the window is the line of powers
+        of x, and doubling takes its tiers a pass at a time.
+
+        The first tier's new words, rows ``X`` of lengths ``n`` made by the
+        symbols ``u``, are level L + 1; each is x**(L+1) or x**-(L+1), and
+        every later tier repeats them times the power that its level adds.
+        Once t levels L + 1 .. L + t are known, x**t times the words of x's
+        side and x**-t times those of x**-1's, taken in order, are levels
+        L + t + 1 .. L + 2t, so one :meth:`_act` yields t tiers.  Its symbol
+        table is x**t and x**-t, each other's inverse, which the same call
+        squares into the next pass's.  The rules of :meth:`_tiers` hold
+        level by level: a pass takes no level past ``levels`` tiers or past
+        the first that reaches ``room`` new words, and none that would take
+        the batch past the block's number of elements; the batch ends at the
+        first level whose hashes repeat or are seen, which it keeps.
+        """
+        k = len(n)  # words per level
+        side = (u == self._line[1]).astype(np.int64)  # 0 for x, 1 for x**-1
+        S, S_len = self._sym[self._line], self._sym_len[self._line]  # x**t, x**-t
+        items, width, new = len(tiers[0][1]), tiers[0][0].shape[1], k
+        while len(tiers) < levels and new < room:
+            t = len(n) // k
+            wide = max(width, X.shape[1] + S.shape[1] - 1)  # no product of x**t is wider
+            fit = (_BLOCK_ELEMENTS // wide - items) // k
+            q = min(t, levels - len(tiers), -(-(room - new) // k), fit)
+            if q < 1:
+                break
+            more = 2 if q == t else 0  # x**t squared, for a pass that may follow
+            src = np.zeros((q * k + more, max(X.shape[1], S.shape[1])), dtype=np.int64)
+            src[: q * k, : X.shape[1]] = X[: q * k]
+            src[q * k :, : S.shape[1]] = S[:more]
+            out, lens = self._act(
+                src,
+                np.concatenate([n[: q * k], S_len[:more]]),
+                np.concatenate([side[: q * k], np.arange(more)])[:, None],
+                (S, S_len, S[::-1]),
+            )
+            lens = lens[:, 0]
+            Y, Yn = out[: q * k, 0, : int(lens[: q * k].max()) + 1], lens[: q * k]
+            h = _hash(Y)
+            first, seen = _repeats(seen, h)
+            kept = min(q, first // k + 1)
+            tiers += [(Y[j : j + k], Yn[j : j + k], h[j : j + k]) for j in range(0, kept * k, k)]
+            items, width, new = items + kept * k, max(width, Y.shape[1]), new + kept * k
+            if q < t or first < len(h):
+                break
+            wider = np.zeros((2 * t * k, max(X.shape[1], Y.shape[1])), dtype=np.int64)
+            wider[: t * k, : X.shape[1]] = X
+            wider[t * k :, : Y.shape[1]] = Y
+            X, n, side = wider, np.concatenate([n, Yn]), np.tile(side, 2)
+            S_len = lens[q * k :]
+            S = out[q * k :, 0, : int(S_len.max()) + 1]
 
     def targets(self, ids: np.ndarray) -> np.ndarray:
         """Rows ``ids`` of the int32 symbol targets of the closed window.
@@ -784,7 +962,7 @@ class CayleyWindow:
             self._compose(ids[i : i + _BLOCK_PAIRS], u[i : i + _BLOCK_PAIRS])
             for i in range(0, len(ids), _BLOCK_PAIRS)
         ])
-        order = np.argsort(fp, kind="stable")
+        order = _stable_argsort(fp)
         first = _group(fp, order, lambda idx: self._pair_rows(ids[idx], u[idx]), self._pair_step())
         label = np.empty(len(fp), dtype=np.int64)
         label[order] = _first_ranks(first, len(fp))

@@ -190,6 +190,21 @@ def test_panalytic_run_pass(tmp_path, capsys):
     assert "verdict: PASS" in capsys.readouterr().out
 
 
+def test_write_csv_formats_each_value_as_fmt(tmp_path):
+    # each distinct float is formatted once per file; signed zeros, which are
+    # one dict key, and nan, which equals nothing, must still print as fmt does
+    values = [0.0, -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300, -0.0, 1e-300, 2.5]
+    rows = [(i, x, values[-1 - i], -x, i, i % 2 == 0, "PASS") for i, x in enumerate(values)]
+    out = tmp_path / "x.csv"
+    cli.write_csv(out, "norm", "ph", rows)
+    want = [CSV_HEADER] + [
+        f"norm,ph,{i},{cli.fmt(b)},{cli.fmt(e)},{cli.fmt(r)},{s},{'true' if c else 'false'},{v}"
+        for i, b, e, r, s, c, v in rows
+    ]
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert b",-0," in out.read_bytes() and b",0," in out.read_bytes()
+
+
 def test_panalytic_trivial_h_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, PANALYTIC_CFG.replace("elements.h = a", "elements.h = e"))
     code = main(["panalytic", "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -561,6 +576,8 @@ def test_config_errors_name_the_config_file(tmp_path, capsys):
         ("panalytic", "budgets.max_iterations = 0", "max_iterations must be >= 1"),
         ("panalytic", "budgets.J_max = 0", "J_max must be >= 1"),
         ("average", "budgets.J_list = 0, 2", "J must be >= 1"),
+        ("average", "budgets.J_max = 0", "J_max must be >= 1"),
+        ("average", "budgets.J_list = ,", "J_list must not be empty"),
         ("pingpong", "budgets.R = -1", "radius must be >= 0"),
         ("average", "budgets.C = -1", "C must be positive"),
         ("ideal", "budgets.C = 0", "C must be positive"),

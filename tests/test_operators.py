@@ -399,6 +399,37 @@ def test_composed_hash_equals_hash_of_built_row():
     T = FormalOperator(F2, {reduce(F2, [(0, 1 << 58)]): 0.5, B: 0.5j})
     _, window = operators._window(T, CayleySpace(F2), NormBudget(max_iterations=2, support_cap=50))
     assert _assert_composed_hashes_match_rows(window)[1].any()
+    # the ideal sweep's J = 17 conjugates, whose inverses share long prefixes,
+    # so cancellations past the loop's columns are read off the sorted table
+    conj = conjugate_sequence(A * B, A, 17) + conjugate_sequence(A * B, B, 17)
+    T = FormalOperator(F2, {c: 1.0 / 17 for c in conj})
+    budget = NormBudget(max_iterations=25, support_cap=1500)
+    _, window = operators._window(T, CayleySpace(F2), budget)
+    cancelled, _ = _assert_composed_hashes_match_rows(window)
+    assert np.count_nonzero(cancelled > spaces._LOOP_COLUMNS) > 1000
+    # a window of Z/3*Z/4 whose symbols' inverses share a prefix longer than
+    # the loop's columns and then branch like a trie, so the common prefixes
+    # of neighbours in sorted order go up and down; its pairs are composed a
+    # block of _BLOCK_PAIRS at a time, as lookups do, so a point's pairs may
+    # straddle two blocks while the table is built once
+    s, t = S34.presentation.generators()
+    stem = s * t * s * t * s
+    tails = [t**e * s**f * t**g for e in (1, 2, 3) for f in (1, 2) for g in (0, 1, 3)]
+    words = [(stem * tail).inverse() for tail in tails[::2]]
+    T = FormalOperator(S34.presentation, {w: 1.0 for w in words})
+    budget = NormBudget(max_iterations=4, support_cap=4000)
+    _, window = operators._window(T, CayleySpace(S34.presentation), budget)
+    U = len(window._sym)
+    ids, u = np.repeat(np.arange(window.size), U), np.tile(np.arange(U), window.size)
+    assert len(ids) > spaces._BLOCK_PAIRS and spaces._BLOCK_PAIRS % U
+    step = spaces._BLOCK_PAIRS
+    composed = np.concatenate(
+        [window._compose(ids[i : i + step], u[i : i + step]) for i in range(0, len(ids), step)]
+    )
+    rows, lens = window._pair_rows(ids, u)
+    assert np.array_equal(composed, spaces._hash(rows))
+    dropped = window._sym_len[u] + window._len[ids] - lens  # 2k + merge
+    assert np.count_nonzero(dropped > 2 * spaces._LOOP_COLUMNS) > 100
 
 
 def test_long_conjugates_window_matches_reference_closure():

@@ -22,6 +22,7 @@ Z3Z4 = free_product([3, 4])
 ZZ3 = free_product([INFINITE, 3])
 Z = free_product([INFINITE])
 Z2Z2 = free_product([2, 2])
+Z4 = free_product([4])
 
 
 def random_element(rng, presentation, max_len):
@@ -265,13 +266,19 @@ def _ball_symbols(pres):
 
 S, T = Z2Z3.generators()
 _AB = A * B
+_U, _V = Z3Z4.generators()
+_UVU = _U * _V * _U  # its powers merge u u into u^2 at every seam
 _IDEAL = [E, *conjugate_sequence(_AB, A, 17), *conjugate_sequence(_AB, B, 17)]
 
-#: (symbols, max_depth, cap): lines, which batch hundreds of thin levels;
-#: exponential windows whose caps end mid-level and mid-batch; torsion and
-#: relations, which end batches early; the identity alone
+#: (symbols, max_depth, cap): lines, which batch hundreds of thin levels,
+#: by doubling where one element and its inverse act; exponential windows
+#: whose caps end mid-level and mid-batch; torsion and relations, which end
+#: batches early; the identity alone
 CLOSE_CASES = {
     "F2 line a": (_symbols(F2, [A]), 301, 10**6),
+    "Z4 t": (_symbols(Z4, Z4.generators()), 301, 10**6),
+    "Z3*Z4 line u v u": (_symbols(Z3Z4, [_UVU]), 301, 10**6),
+    "Z3*Z4 line 2e + u v u, cap mid-level": (_symbols(Z3Z4, [Z3Z4.identity(), _UVU]), 301, 150),
     "F2 line a b": (_symbols(F2, [_AB]), 301, 10**6),
     "F2 line a b, depth cuts a batch": (_symbols(F2, [_AB]), 40, 10**6),
     "F2 line a, cap mid-batch": (_symbols(F2, [A]), 301, 77),
@@ -327,6 +334,33 @@ def test_close_exact_when_fingerprints_collide(monkeypatch, mask):
     for case in ("conjugates J=2, cap mid-level", "ideal c_j(a), c_j(b)", "Z3*Z4 ball"):
         symbols, max_depth, _ = CLOSE_CASES[case]
         _assert_closes_as_reference(symbols, max_depth, 150)
+
+
+def test_stable_argsort_orders_ties_by_item():
+    # the window's first-occurrence order rests on equal hashes keeping
+    # their items' order, as numpy's stable sort leaves them
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 7, 1000, 20000):
+        for distinct in (1, 3, n // 2 + 1, 2**62):
+            h = rng.integers(0, distinct, n, dtype=np.int64).view(np.uint64) * np.uint64(2**63 // distinct)
+            assert np.array_equal(spaces._stable_argsort(h), np.argsort(h, kind="stable"))
+
+
+@pytest.mark.parametrize("mask", [3, 15, 255])
+def test_line_doubling_goes_on_past_colliding_fingerprints(monkeypatch, mask):
+    # a doubling pass keeps its levels up to the first whose hashes repeat or
+    # are stored, and the closure goes on from there level by level: with
+    # fingerprints that collide, a repeat is not the end of the line
+    hash_rows = spaces._hash
+    monkeypatch.setattr(spaces, "_hash", lambda rows: hash_rows(rows) & np.uint64(mask))
+    monkeypatch.setattr(
+        CayleyWindow, "_compose", lambda self, ids, u: spaces._hash(self._pair_rows(ids, u)[0])
+    )
+    lines = ("F2 line a", "Z4 t", "Z ball", "Z3*Z4 line u v u", "Z3*Z4 line 2e + u v u, cap mid-level")
+    for case in lines:
+        symbols, max_depth, cap = CLOSE_CASES[case]
+        assert CayleyWindow(*symbols)._line is not None
+        _assert_closes_as_reference(symbols, max_depth, cap)
 
 
 def test_close_batches_thin_levels(monkeypatch):
