@@ -452,7 +452,7 @@ def run_pingpong(config: ExperimentConfig, seed: int | None, slack: float) -> Ex
     # (bound, value, holds) of the injectivity, disjointness and displacement checks
     checks = [
         (0.0, float(len(rep.trivial_words)), rep.injectivity_ok),
-        (0.0, float(len(rep.disjointness.collisions)), rep.disjointness.disjoint),
+        (0.0, float(rep.disjointness.collisions), rep.disjointness.disjoint),
         (b.c_min, min(r.displacement / r.n for r in rep.displacement_rows), rep.displacement_ok),
     ]
     rows = [
@@ -463,7 +463,7 @@ def run_pingpong(config: ExperimentConfig, seed: int | None, slack: float) -> Ex
         f"pingpong: h={h} g={g} L={b.L} J={b.J_max} R={b.R} c_min={fmt(b.c_min)}",
         f"injectivity: {'ok' if rep.injectivity_ok else 'trivial-acting words found'}"
         + (f" ({', '.join(str(w) for w in rep.trivial_words[:3])})" if rep.trivial_words else ""),
-        f"translate disjointness: {'ok' if rep.disjointness.disjoint else f'{len(rep.disjointness.collisions)} collisions'}",
+        f"translate disjointness: {'ok' if rep.disjointness.disjoint else f'{rep.disjointness.collisions} collisions'}",
         f"displacement growth: {'ok' if rep.displacement_ok else 'sublinear'}",
         "note: PASS is consistency within budgets, not a proof",
     ]
@@ -607,8 +607,8 @@ def run(
             f"{config_path}: config names experiment {config.experiment!r} "
             f"but {experiment!r} was invoked"
         )
-    if not math.isfinite(slack):
-        raise ConfigError(f"slack must be finite, got {fmt(slack)}")
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ConfigError(f"slack must be finite and >= 0, got {fmt(slack)}")
     ph = param_hash(raw_config, seed, slack)
     out = Path(out_path or config.output or f"{experiment}.csv")
 

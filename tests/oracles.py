@@ -213,11 +213,14 @@ def reference_close(window, max_depth, cap):
 
 
 def reference_Wj_collisions(h, g, J, L):
-    """The translate-family collisions of ``check_Wj_disjoint``, by the
-    direct loop: every translated word g^j u is evaluated into the acting
-    group on its own and pushed to the base point.
+    """The translate-family collisions that ``check_Wj_disjoint`` counts,
+    by the direct loop: every translated word g^j u is evaluated into the
+    acting group on its own and pushed to the base point.
 
-    Returns (j, u, k, v, point, witness_abstract) tuples in discovery order.
+    Returns (j, u, k, v, point, witness_abstract) tuples in discovery order,
+    one per (j, u) whose point an earlier translate g^k v reached; their
+    number is ``check_Wj_disjoint(h, g, J, L).collisions``.  The witness
+    v^-1 g^(j-k) u is a nontrivial pair word whose image is the identity.
     """
     from actrep.dynamics import _abstract_pair
     from actrep.groups import first_syllable_in

@@ -521,6 +521,7 @@ budgets.R = 4
         (TORSION_CFG, ["--slack", "nan"]),
         (TORSION_CFG, ["--slack", "inf"]),
         (TORSION_CFG, ["--slack=-inf"]),
+        (TORSION_CFG, ["--slack=-0.5"]),
         (TORSION_CFG + "budgets.C = nan\n", []),
         (TORSION_CFG + "budgets.C = inf\n", []),
         (TORSION_CFG + "budgets.prune_threshold = nan\n", []),
@@ -529,12 +530,13 @@ budgets.R = 4
         (PINGPONG_CFG + "budgets.c_min = inf\n", []),
     ],
     ids=[
-        "slack-nan", "slack-inf", "slack-minus-inf", "C-nan", "C-inf", "prune-nan",
+        "slack-nan", "slack-inf", "slack-minus-inf", "slack-negative", "C-nan", "C-inf", "prune-nan",
         "residual-minus-inf", "c_min-nan", "c_min-inf",
     ],
 )
 def test_non_finite_floats_exit_3(tmp_path, capsys, text, extra):
-    # NaN compares false, so a NaN slack or envelope would never falsify
+    # NaN compares false, so a NaN slack or envelope would never falsify, and
+    # a negative slack would falsify rows under their envelope
     cfg = write_config(tmp_path, text)
     out = tmp_path / "x.csv"
     experiment = "pingpong" if "pingpong" in text else "panalytic"

@@ -486,6 +486,14 @@ def test_panalytic_rejects_trivial_h():
         verify_panalytic(E, B, 4)
 
 
+@pytest.mark.parametrize("slack", [-0.5, math.nan])
+def test_panalytic_rejects_negative_slack(slack):
+    # a negative slack would falsify rows whose estimate is under the envelope,
+    # and a NaN one would falsify none
+    with pytest.raises(ValueError, match="slack"):
+        verify_panalytic(A, B, 4, budget=LIGHT, slack=slack)
+
+
 # -- averaging decay ----------------------------------------------------------
 
 
@@ -591,11 +599,13 @@ def test_wj_disjoint_torsion_case():
 def test_wj_degenerate_pair_collides():
     rep = check_Wj_disjoint(A, A, 5, 6)
     assert not rep.disjoint
-    for c in rep.collisions[:20]:
-        assert c.j != c.k
-        assert not c.witness_abstract.is_identity
+    expected = reference_Wj_collisions(A, A, 5, 6)
+    assert rep.collisions == len(expected)
+    for j, _, k, _, _, witness in expected[:20]:
+        assert j != k
+        assert not witness.is_identity
         # the witness stabilizes the base point: in a free action it must be e
-        assert evaluate_pair_word(c.witness_abstract, (A, A)) == E
+        assert evaluate_pair_word(witness, (A, A)) == E
 
 
 def test_wj_collisions_match_direct_evaluation():
@@ -605,12 +615,25 @@ def test_wj_collisions_match_direct_evaluation():
         total = 0
         for h, g in PAIRS:
             rep = check_Wj_disjoint(h, g, J, L)
-            got = [(c.j, c.u, c.k, c.v, c.point, c.witness_abstract) for c in rep.collisions]
-            assert got == reference_Wj_collisions(h, g, J, L), (h, g, J, L)
-            for c in rep.collisions:
-                assert evaluate_pair_word(c.witness_abstract, (h, g)).is_identity
-            total += len(got)
+            expected = reference_Wj_collisions(h, g, J, L)
+            assert type(rep.collisions) is int
+            assert rep.collisions == len(expected), (h, g, J, L)
+            assert rep.disjoint == (not expected)
+            for *_, witness in expected:
+                assert evaluate_pair_word(witness, (h, g)).is_identity
+            total += rep.collisions
         assert total > 0
+
+
+def test_wj_count_decodes_nothing(monkeypatch):
+    # the collisions are counted on labels: no word or point is decoded
+    ball = _pair_ball(T23, S * T23, 4)
+
+    def refuse(*args):
+        raise AssertionError("check_Wj_disjoint decoded rows")
+
+    monkeypatch.setattr(CayleyWindow, "decode", refuse)
+    assert check_Wj_disjoint(T23, S * T23, 4, 4, _ball=ball).collisions == 216
 
 
 def test_pingpong_free_pair_passes():
@@ -650,8 +673,9 @@ def test_pingpong_relation_caught_by_disjointness():
     assert rep.verdict == FALSIFIED
     assert rep.injectivity_ok
     assert not rep.disjointness.disjoint
-    c = rep.disjointness.collisions[0]
-    assert evaluate_pair_word(c.witness_abstract, (T23, (S * T23) ** 2)).is_identity
+    expected = reference_Wj_collisions(T23, (S * T23) ** 2, 6, 5)
+    assert rep.disjointness.collisions == len(expected) == 348
+    assert evaluate_pair_word(expected[0][-1], (T23, (S * T23) ** 2)).is_identity
 
 
 def test_pingpong_displacement_is_word_length_of_powers():
