@@ -191,6 +191,7 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 def load_config_lines(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
+    where: dict[str, int] = {}  # the line of each key
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -202,7 +203,10 @@ def load_config_lines(path: str) -> dict[str, str]:
         key, eq, value = stripped.partition("=")
         if eq != "=":
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in where:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given again, first at line {where[key]}")
+        raw[key], where[key] = value.strip(), lineno
     return raw
 
 

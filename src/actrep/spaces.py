@@ -24,6 +24,7 @@ from .groups import (
     FreeProductPresentation,
     GroupElement,
     PresentationMismatchError,
+    element_order,
 )
 
 #: Points of the Cayley space are reduced words.
@@ -233,20 +234,6 @@ def _stable_argsort(h: np.ndarray) -> np.ndarray:
     return order
 
 
-def _repeats(seen: np.ndarray, h: np.ndarray) -> tuple[int, np.ndarray]:
-    """The position of the first of the hashes ``h`` that is in the sorted
-    ``seen`` or equals an earlier one, or ``len(h)`` when none does; and
-    ``seen`` with every hash of ``h`` merged in when none does."""
-    order = _stable_argsort(h)
-    s = h[order]
-    at = np.searchsorted(seen, s)
-    clash = seen[np.minimum(at, len(seen) - 1)] == s
-    clash[1:] |= s[1:] == s[:-1]  # the later of two equal hashes, by the stable order
-    if clash.any():
-        return int(order[clash].min()), seen
-    return len(h), _insert(seen, at, s)
-
-
 def _prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Length of the longest common prefix of each row of ``a`` and the row of
     ``b`` at the same position, rows of one width."""
@@ -293,15 +280,12 @@ class CayleyWindow:
     :meth:`close` costs a fixed amount per block of images, so it keeps the
     blocks few.  Each block's hashes are sorted once, and the lookup, the
     grouping of new words by first occurrence, their ids and the merge into
-    the sorted index all read that one order (:meth:`_intern`).  A level
-    that fits in one block is expanded several levels deep in one block:
-    while no image repeats a word, the images of each new word, in order,
-    are the next level's, so (point, u1, ..., ut) order is breadth-first
-    order (:meth:`_tiers`); a line of hundreds of levels closes in a few
-    blocks.  A window acted on by one element x and its inverse, besides
-    the identity, is the line of the powers of x: its levels are found by
-    doubling, t levels from one multiplication by x**t and x**-t
-    (:meth:`_double`), so such a line costs a logarithmic number of passes.
+    the sorted index all read that one order (:meth:`_intern`).  A window
+    acted on by one element x and its inverse, besides the identity, is the
+    line of the powers of x: its levels are found by doubling, t levels
+    from one multiplication of stored powers by x**t and x**-t
+    (:meth:`_close_line`), so such a line costs a logarithmic number of
+    blocks.
 
     :meth:`_compose` finds a cancellation column by column for its first
     ``_LOOP_COLUMNS`` syllables; longer ones are read off a table of the
@@ -321,9 +305,6 @@ class CayleyWindow:
         self._sym, self._sym_len = self.encode(presentation, symbols)
         self.inverse = np.asarray(inverse, dtype=np.int64)
         self._sym_inv = self._sym[self.inverse]
-        # the symbols a batch applies after each symbol: neither its inverse nor the identity
-        U = len(self.inverse)
-        self._next = (np.arange(U) != self.inverse[:, None]) & (self._sym_len > 0)
         # the positions of x and x^-1 when they are the only symbols besides the identity
         line = np.flatnonzero(self._sym_len > 0)
         self._line = line if len(line) == 2 and self.inverse[line[0]] == line[1] else None
@@ -589,10 +570,12 @@ class CayleyWindow:
         ``X`` holds ``B`` rows of length ``n`` and ``u`` has shape (B, U) or
         (1, U); the result has shape (B, U, width).  ``table`` holds the
         rows, lengths and inverses' rows of the elements that ``u`` indexes,
-        by default the window's symbols.  Left multiplication cancels the
-        longest prefix of the word that matches the symbol's inverse, merges
-        the next two syllables when they share a factor, and shifts the rest
-        of the word behind what is left of the symbol.
+        by default the window's symbols; :meth:`_close_line` passes x**t and
+        x**-t, two stored powers, each the other's inverse.  Left
+        multiplication cancels the longest prefix of the word that matches
+        the symbol's inverse, merges the next two syllables when they share
+        a factor, and shifts the rest of the word behind what is left of the
+        symbol.
         """
         sym, sym_len, sym_inv = table or (self._sym, self._sym_len, self._sym_inv)
         B, W = X.shape
@@ -739,16 +722,11 @@ class CayleyWindow:
         window is then full, and the symbol targets of the points not yet
         expanded are left for :meth:`targets` to resolve on demand.
 
-        Blocks of points are expanded in turn, so no transient array exceeds
-        a fixed number of elements, and each block is interned with one sort
-        (:meth:`_intern`).  A level that fits in one block, with nothing of
-        the next level found yet, starts a batch of several thin levels in one
-        block (:meth:`_expand`); the targets of the levels it passes through
-        are left unresolved too.  A window of one element and its inverse
-        finds a batch's levels by doubling (:meth:`_double`); where a level
-        repeats a hash, its batch ends and the growth goes on from there
-        level by level.  Ids, depths and targets are those of the
-        level-by-level growth.
+        Blocks of points of one level are expanded in turn, so no transient
+        array exceeds a fixed number of elements, and each block is interned
+        with one sort (:meth:`_intern`).  A window of one element and its
+        inverse, which holds only the identity, closes by doubling instead
+        (:meth:`_close_line`).
 
         Each multiplication grows a syllable exponent by at most the largest
         symbol exponent, and every level holds a point, so images are at
@@ -759,160 +737,57 @@ class CayleyWindow:
         U = len(self._sym)
         blocks: list[np.ndarray] = []
         i, hi = 0, 1  # the next point to expand, and the end of its level
-        while i < self.size and self.size < cap and self._depth[i] < max_depth:
-            if i == hi:
-                hi = self.size
-            d = int(self._depth[i])
-            j = min(hi, i + max(1, self._pair_step() // U))
-            # the rest of level d, and nothing of level d + 1 stored yet: a batch
-            levels = max_depth - d if j == hi == self.size else 1
-            rows, levels = self._expand(slice(i, j), cap - self.size, d, levels)
-            blocks.append(rows)
-            if levels > 1:  # levels d + 1 .. d + levels - 1 were passed through
-                hi = int(np.searchsorted(self._depth[: self.size], d + levels))
-                blocks.append(np.full((hi - j, U), _UNRESOLVED, dtype=np.int32))
-                j = hi
-            i = j
+        if self._line is not None and self.size == 1:
+            self._close_line(max_depth, cap)  # and leaves every target unresolved
+        else:
+            while i < self.size and self.size < cap and self._depth[i] < max_depth:
+                if i == hi:
+                    hi = self.size
+                j = min(hi, i + max(1, self._pair_step() // U))
+                rows, lens = self._act(self._words(slice(i, j)), self._len[i:j], np.arange(U)[None, :])
+                rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
+                ids = self._intern(rows, lens, cap - self.size, self._depth[i] + 1)
+                blocks.append(ids.reshape(-1, U).astype(np.int32))
+                i = j
         unresolved = np.full((self.size - i, U), _UNRESOLVED, dtype=np.int32)
         self._targets = np.concatenate([*blocks, unresolved])
 
-    def _expand(
-        self, points: slice, room: int, depth: int, levels: int
-    ) -> tuple[np.ndarray, int]:
-        """Intern every symbol applied to the selected points, at depth ``depth
-        + 1``, and up to ``levels`` - 1 levels beyond; return the ids of the
-        first level's images as int32 rows, and the number of levels interned.
+    def _close_line(self, max_depth: int, cap: int) -> None:
+        """:meth:`close` for a window that holds only the identity and whose
+        symbols other than the identity are one element x and its inverse:
+        the window is the line of the powers of x, found by doubling.
 
-        Images not in the window join it while there is room, and the rest
-        get -1.  Whenever ``levels`` > 1, the selected points must be the rest
-        of a level with nothing of the next level stored: the later tiers are
-        then the next levels' images in breadth-first order (:meth:`_tiers`),
-        and all tiers are interned in one call.
+        Level t is x**t then x**-t, ids 2t - 1 and 2t, while the powers are
+        distinct: up to level m // 2 for x of finite order m, where x**(m/2)
+        is its own inverse for even m.  Once levels 1 .. t are stored, x**t
+        times each x**j and x**-t times each x**-j, j = 1 .. k, are levels
+        t + 1 .. t + k in breadth-first order, so one :meth:`_act` on stored
+        rows 1 .. 2k, whose symbol table is x**t and x**-t, gives k levels;
+        each pass is interned at once, and the cap and a repeated word on
+        the last level are left to :meth:`_intern`.  Every pass stays within
+        the block's number of elements, so a long line takes several passes
+        of as many levels as fit.
         """
-        U = len(self._sym)
-        rows, lens = self._act(self._words(points), self._len[points], np.arange(U)[None, :])
-        rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
-        h = _hash(rows)
-        tiers = [(rows, lens, h)]
-        if levels > 1:
-            self._tiers(tiers, room, levels)
-        if len(tiers) > 1:
-            sizes = [len(n) for _, n, _ in tiers]
-            rows = np.zeros((sum(sizes), max(r.shape[1] for r, _, _ in tiers)), dtype=np.int64)
-            for (r, _, _), at in zip(tiers, np.cumsum(sizes) - sizes):
-                rows[at : at + len(r), : r.shape[1]] = r
-            lens, h = (np.concatenate([t[k] for t in tiers]) for k in (1, 2))
-            depth = np.repeat(depth + np.arange(len(tiers)), sizes)
-        ids = self._intern(rows, lens, room, depth + 1, h)
-        return ids[: U * (points.stop - points.start)].reshape(-1, U).astype(np.int32), len(tiers)
-
-    def _tiers(self, tiers: list, room: int, levels: int) -> None:
-        """Append to a batch whose one tier holds the images of a whole level
-        L, with nothing of level L + 1 stored, the tiers of the next levels.
-
-        A tier is rows, lengths and hashes of images.  The first tier's
-        images not stored are level L + 1, in breadth-first order.  Tier t
-        applies, item by item and symbol by symbol, every symbol to the new
-        words of tier t - 1 except the identity and the inverse of the symbol
-        that made the word, whose images are the word itself or a point one
-        level up, and never join.  While every item of tier t - 1 is a new
-        word, distinct from all others, tier t therefore lists the images of
-        level L + t - 1 in breadth-first order, and its new words are level L
-        + t in order.  A repeated or stored hash may mean a relation among the
-        symbols, so the batch ends at the first tier that shows one; it ends
-        too at ``levels`` tiers, once the window has no room for more, or
-        when the next tier would take the batch past the block's number of
-        elements.  The check is incremental: ``seen`` holds the hashes of the
-        index and of the batch's new words, sorted, and takes each tier's in
-        by one merge (:func:`_repeats`).  A window of one element and its
-        inverse takes its tiers by doubling (:meth:`_double`).
-        """
-        U, M = len(self._sym), self._sym.shape[1]
-        rows, lens, h = tiers[0]
-        live = np.flatnonzero(self._find(h, lambda idx: (rows[idx], lens[idx])) < 0)
-        s = np.sort(h[live])
-        if not live.size or (s[1:] == s[:-1]).any():
+        x = self._line[:1]
+        m = element_order(self.decode(self.presentation, self._sym[x], self._sym_len[x])[0])
+        last = min(max_depth, cap // 2, m // 2 if m else max_depth)
+        if last < 1:
             return
-        seen = _insert(self._index_fp, np.searchsorted(self._index_fp, s), s)
-        X, n, u = rows[live], lens[live], live % U
-        if self._line is not None:
-            self._double(tiers, room, levels, seen, X, n, u)
-            return
-        items, width, new = len(lens), rows.shape[1], len(live)
-        while len(tiers) < levels and new < room:
-            parent, v = np.nonzero(self._next[u])
-            if not v.size or (items + v.size) * (width + M) > _BLOCK_ELEMENTS:
-                break
-            X, n = (a[:, 0] for a in self._act(X[parent], n[parent], v[:, None]))
-            tiers.append((X, n, _hash(X)))
-            items, width, new, u = items + v.size, max(width, X.shape[1]), new + v.size, v
-            first, seen = _repeats(seen, tiers[-1][2])
-            if first < v.size:
-                break
-
-    def _double(
-        self,
-        tiers: list,
-        room: int,
-        levels: int,
-        seen: np.ndarray,
-        X: np.ndarray,
-        n: np.ndarray,
-        u: np.ndarray,
-    ) -> None:
-        """:meth:`_tiers` for a window whose symbols other than the identity
-        are one element x and its inverse: the window is the line of powers
-        of x, and doubling takes its tiers a pass at a time.
-
-        The first tier's new words, rows ``X`` of lengths ``n`` made by the
-        symbols ``u``, are level L + 1; each is x**(L+1) or x**-(L+1), and
-        every later tier repeats them times the power that its level adds.
-        Once t levels L + 1 .. L + t are known, x**t times the words of x's
-        side and x**-t times those of x**-1's, taken in order, are levels
-        L + t + 1 .. L + 2t, so one :meth:`_act` yields t tiers.  Its symbol
-        table is x**t and x**-t, each other's inverse, which the same call
-        squares into the next pass's.  The rules of :meth:`_tiers` hold
-        level by level: a pass takes no level past ``levels`` tiers or past
-        the first that reaches ``room`` new words, and none that would take
-        the batch past the block's number of elements; the batch ends at the
-        first level whose hashes repeat or are seen, which it keeps.
-        """
-        k = len(n)  # words per level
-        side = (u == self._line[1]).astype(np.int64)  # 0 for x, 1 for x**-1
-        S, S_len = self._sym[self._line], self._sym_len[self._line]  # x**t, x**-t
-        items, width, new = len(tiers[0][1]), tiers[0][0].shape[1], k
-        while len(tiers) < levels and new < room:
-            t = len(n) // k
-            wide = max(width, X.shape[1] + S.shape[1] - 1)  # no product of x**t is wider
-            fit = (_BLOCK_ELEMENTS // wide - items) // k
-            q = min(t, levels - len(tiers), -(-(room - new) // k), fit)
-            if q < 1:
-                break
-            more = 2 if q == t else 0  # x**t squared, for a pass that may follow
-            src = np.zeros((q * k + more, max(X.shape[1], S.shape[1])), dtype=np.int64)
-            src[: q * k, : X.shape[1]] = X[: q * k]
-            src[q * k :, : S.shape[1]] = S[:more]
-            out, lens = self._act(
-                src,
-                np.concatenate([n[: q * k], S_len[:more]]),
-                np.concatenate([side[: q * k], np.arange(more)])[:, None],
-                (S, S_len, S[::-1]),
+        self._intern(self._sym[self._line], self._sym_len[self._line], cap - self.size, 1)
+        t = 1
+        while t < last:
+            # 2k rows and a table of the store's width: 2k * 2 * width elements
+            k = min(t, last - t, max(1, _BLOCK_ELEMENTS // (4 * self._width)))
+            S = self._words([2 * t - 1, 2 * t])  # x**t, x**-t
+            rows, lens = self._act(
+                self._words(slice(1, 2 * k + 1)),
+                self._len[1 : 2 * k + 1],
+                np.tile([0, 1], k)[:, None],
+                (S, self._len[[2 * t - 1, 2 * t]], S[::-1]),
             )
-            lens = lens[:, 0]
-            Y, Yn = out[: q * k, 0, : int(lens[: q * k].max()) + 1], lens[: q * k]
-            h = _hash(Y)
-            first, seen = _repeats(seen, h)
-            kept = min(q, first // k + 1)
-            tiers += [(Y[j : j + k], Yn[j : j + k], h[j : j + k]) for j in range(0, kept * k, k)]
-            items, width, new = items + kept * k, max(width, Y.shape[1]), new + kept * k
-            if q < t or first < len(h):
-                break
-            wider = np.zeros((2 * t * k, max(X.shape[1], Y.shape[1])), dtype=np.int64)
-            wider[: t * k, : X.shape[1]] = X
-            wider[t * k :, : Y.shape[1]] = Y
-            X, n, side = wider, np.concatenate([n, Yn]), np.tile(side, 2)
-            S_len = lens[q * k :]
-            S = out[q * k :, 0, : int(S_len.max()) + 1]
+            depth = np.repeat(np.arange(t + 1, t + k + 1), 2)
+            self._intern(rows[:, 0], lens[:, 0], cap - self.size, depth)
+            t += k
 
     def targets(self, ids: np.ndarray) -> np.ndarray:
         """Rows ``ids`` of the int32 symbol targets of the closed window.

@@ -170,13 +170,14 @@ def reference_ball(space, center, radius):
 
 def reference_close(window, max_depth, cap):
     """The breadth-first closure of a fresh ``CayleyWindow``, one level at a
-    time, as ``CayleyWindow.close`` grew windows before it batched thin
-    levels: level by level, every point's images under all symbols in
-    row-major (point, symbol) order, each image joining one level deeper
-    while its point's depth is below ``max_depth`` and fewer than ``cap``
-    points are held.  Images come from ``window._act``; words are interned in
-    a dict keyed by their codes, so no hash, sort or index of the window is
-    used, and the window is left as it was.
+    time and one word at a time, lines included, which
+    ``CayleyWindow.close`` closes by doubling: level by level, every point's
+    images under all symbols in row-major (point, symbol) order, each image
+    joining one level deeper while its point's depth is below ``max_depth``
+    and fewer than ``cap`` points are held.  Images come from
+    ``window._act``; words are interned in a dict keyed by their codes, so
+    no hash, sort or index of the window is used, and the window is left as
+    it was.
 
     Returns the points' codes as tuples in id order, their depths, and the
     table of every point's symbol targets (-1 outside), which a closed window

@@ -41,6 +41,14 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def with_line(text, line):
+    """Config text with ``line`` in place of the line of its key, if any: a
+    config that gives a key twice exits 3."""
+    key = line.partition("=")[0].strip()
+    kept = [x for x in text.splitlines() if x.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 PANALYTIC_CFG = """
 # free case
 presentation.orders = inf, inf
@@ -108,6 +116,16 @@ def test_load_config_diagnostics(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config_lines(path)
     assert ":2:" in str(err.value)
+
+
+def test_repeated_key_exit_3(tmp_path, capsys):
+    # a later line no longer overrides an earlier one, which the parameter
+    # hash, taken over the surviving lines, would not show
+    cfg = write_config(tmp_path, "presentation.orders = inf, inf\noperator.T = 1*a\n\noperator.T = 1*b\n")
+    out = tmp_path / "norm.csv"
+    assert main(["norm", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}:4: key 'operator.T' given again, first at line 2\n"
+    assert not out.exists()
 
 
 def test_build_config_rejects_unknown_key(tmp_path):
@@ -596,7 +614,7 @@ def test_out_of_range_budgets_exit_3_naming_the_config_file(
         "ideal": STARVED_IDEAL_CFG,
         "pingpong": (GOLDEN / "pingpong_pass.cfg").read_text(),
     }[experiment]
-    cfg = write_config(tmp_path, base + line + "\n")
+    cfg = write_config(tmp_path, with_line(base, line))
     out = tmp_path / "x.csv"
     assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
@@ -697,7 +715,7 @@ def test_tiny_coefficients_exit_3(tmp_path, capsys):
 def test_pingpong_echoes_radius_without_scanning_a_ball(tmp_path, capsys):
     # the action is free, so the checks never enumerate the radius-R ball,
     # which at R = 40 would be far beyond the ball cap
-    cfg = write_config(tmp_path, (GOLDEN / "pingpong_pass.cfg").read_text() + "budgets.R = 40\n")
+    cfg = write_config(tmp_path, with_line((GOLDEN / "pingpong_pass.cfg").read_text(), "budgets.R = 40"))
     out = tmp_path / "pp.csv"
     assert main(["pingpong", "--config", cfg, "--out", str(out)]) == EXIT_PASS
 

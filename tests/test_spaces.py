@@ -23,6 +23,7 @@ ZZ3 = free_product([INFINITE, 3])
 Z = free_product([INFINITE])
 Z2Z2 = free_product([2, 2])
 Z4 = free_product([4])
+Z2Z7 = free_product([2, 7], names=("s", "t"))
 
 
 def random_element(rng, presentation, max_len):
@@ -265,17 +266,20 @@ def _ball_symbols(pres):
 
 
 S, T = Z2Z3.generators()
+_S7, _T7 = Z2Z7.generators()
+_ST3S = _S7 * _T7**3 * _S7  # of order 7: its line ends at level 3 with every power
 _AB = A * B
 _U, _V = Z3Z4.generators()
 _UVU = _U * _V * _U  # its powers merge u u into u^2 at every seam
 _IDEAL = [E, *conjugate_sequence(_AB, A, 17), *conjugate_sequence(_AB, B, 17)]
 
-#: (symbols, max_depth, cap): lines, which batch hundreds of thin levels,
-#: by doubling where one element and its inverse act; exponential windows
-#: whose caps end mid-level and mid-batch; torsion and relations, which end
-#: batches early; the identity alone
+#: (symbols, max_depth, cap): lines of one element and its inverse, which
+#: close by doubling, cut by depth, by a cap mid-pass and mid-level, and by
+#: an element's finite order; exponential windows whose caps end mid-level;
+#: torsion and relations; the identity alone
 CLOSE_CASES = {
     "F2 line a": (_symbols(F2, [A]), 301, 10**6),
+    "F2 line a, depth 1": (_symbols(F2, [A]), 1, 10**6),
     "Z4 t": (_symbols(Z4, Z4.generators()), 301, 10**6),
     "Z3*Z4 line u v u": (_symbols(Z3Z4, [_UVU]), 301, 10**6),
     "Z3*Z4 line 2e + u v u, cap mid-level": (_symbols(Z3Z4, [Z3Z4.identity(), _UVU]), 301, 150),
@@ -291,6 +295,9 @@ CLOSE_CASES = {
     "Z2*Z2 ball": (_ball_symbols(Z2Z2), 300, 10**6),
     "Z2*Z3 t": (_symbols(Z2Z3, [T]), 301, 10**6),
     "Z2*Z3 s t s": (_symbols(Z2Z3, [S * T * S]), 301, 10**6),
+    "Z2*Z7 line s t^3 s": (_symbols(Z2Z7, [_ST3S]), 301, 10**6),
+    "Z2*Z7 line s t^3 s, cap at a level's end": (_symbols(Z2Z7, [_ST3S]), 301, 5),
+    "Z2*Z7 line s t^3 s, cap mid-level": (_symbols(Z2Z7, [_ST3S]), 301, 6),
     "Z3*Z4 ball": (_ball_symbols(Z3Z4), 7, 10**6),
     "ideal c_j(a), c_j(b)": (_symbols(F2, _IDEAL), 51, 1500),
     "identity only": (_symbols(F2, [E]), 301, 10**6),
@@ -312,17 +319,17 @@ def _assert_closes_as_reference(symbols, max_depth, cap):
 @pytest.mark.parametrize("block", [spaces._BLOCK_ELEMENTS, 4096, 300])
 @pytest.mark.parametrize("case", list(CLOSE_CASES))
 def test_close_matches_reference_close(monkeypatch, case, block):
-    # batches of thin levels give the ids, depths, words and targets of the
-    # closure one level at a time; smaller blocks move where batches start,
-    # end and meet levels that span several blocks
+    # blocks of a level, and the doubling passes of a line, give the ids,
+    # depths, words and targets of the closure one level at a time; smaller
+    # blocks split levels and passes in more places
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block)
     _assert_closes_as_reference(*CLOSE_CASES[case])
 
 
 @pytest.mark.parametrize("mask", [0, 3, 7])
 def test_close_exact_when_fingerprints_collide(monkeypatch, mask):
-    # mask 0 gives every word one hash, so every tier repeats one; 3 and 7
-    # leave runs of equal hashes that hold distinct words
+    # mask 0 gives every word one hash; 3 and 7 leave runs of equal hashes
+    # that hold distinct words
     hash_rows = spaces._hash
     monkeypatch.setattr(spaces, "_hash", lambda rows: hash_rows(rows) & np.uint64(mask))
     monkeypatch.setattr(
@@ -348,15 +355,18 @@ def test_stable_argsort_orders_ties_by_item():
 
 @pytest.mark.parametrize("mask", [3, 15, 255])
 def test_line_doubling_goes_on_past_colliding_fingerprints(monkeypatch, mask):
-    # a doubling pass keeps its levels up to the first whose hashes repeat or
-    # are stored, and the closure goes on from there level by level: with
-    # fingerprints that collide, a repeat is not the end of the line
+    # a doubling pass interns all of its levels at once, and interning
+    # compares rows wherever fingerprints collide: equal hashes within a pass,
+    # or with a stored power, neither end the line nor reorder its ids
     hash_rows = spaces._hash
     monkeypatch.setattr(spaces, "_hash", lambda rows: hash_rows(rows) & np.uint64(mask))
     monkeypatch.setattr(
         CayleyWindow, "_compose", lambda self, ids, u: spaces._hash(self._pair_rows(ids, u)[0])
     )
-    lines = ("F2 line a", "Z4 t", "Z ball", "Z3*Z4 line u v u", "Z3*Z4 line 2e + u v u, cap mid-level")
+    lines = (
+        "F2 line a", "Z4 t", "Z ball", "Z3*Z4 line u v u", "Z3*Z4 line 2e + u v u, cap mid-level",
+        "Z2*Z7 line s t^3 s, cap mid-level",
+    )
     for case in lines:
         symbols, max_depth, cap = CLOSE_CASES[case]
         assert CayleyWindow(*symbols)._line is not None
@@ -364,8 +374,10 @@ def test_line_doubling_goes_on_past_colliding_fingerprints(monkeypatch, mask):
 
 
 def test_close_batches_thin_levels(monkeypatch):
-    # a line closes in one block per batch, not one per level; every block
-    # stays within the block's number of elements
+    # a line closes by doubling: level 1, then one interning per pass, so a
+    # line whose words do not grow takes 1 + ceil(log2 levels) calls, and a
+    # line of (b a)**t, whose rows widen, more passes of fewer levels each;
+    # every call stays within the block's number of elements
     sizes = []
     intern = CayleyWindow._intern
 
@@ -374,7 +386,7 @@ def test_close_batches_thin_levels(monkeypatch):
         return intern(self, rows, *args)
 
     monkeypatch.setattr(CayleyWindow, "_intern", counted)
-    most = {"F2 line a": 1, "Z ball": 1, "2e + b a": 5, "Z2*Z3 t": 1}  # blocks per closure
+    most = {"F2 line a": 10, "Z ball": 10, "2e + b a": 13, "Z2*Z3 t": 1}  # interning calls per closure
     for case in CLOSE_CASES:
         sizes.clear()
         _assert_closes_as_reference(*CLOSE_CASES[case])
