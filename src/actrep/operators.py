@@ -312,44 +312,33 @@ def _matvec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum a pi(g) v on the window, for ``terms``: the coefficients a and the
     window columns of the g, in T's order; v is stored as its support, the
-    window ``ids`` and their ``values``.
-
-    Returns the result the same way: the sorted ids of the images of v's
-    nonzero entries inside the window, and their values, some of which may
-    cancel to exactly 0.  Exact zeros of v are dropped first, and images
-    outside the window are dropped.  Left translation is injective per
-    symbol, so a term adds at most one product to an image; each image sums
-    its products from +0.0 in T's term order, which gives every entry the
-    bits of a scatter-add over the whole window.  The union of the images
-    is formed by one sort of all of them.
+    window ``ids`` and their ``values``.  Returns the result the same way
+    (:func:`_scatter`), with images outside the window dropped; exact zeros
+    of v are dropped first, and values of the result may cancel to exactly 0.
     """
     coefficients, columns = terms
     nz = values != 0
-    ids, values = ids[nz], values[nz]
-    dst = window.targets(ids)[:, columns].T
-    k, j = np.nonzero(dst >= 0)  # term-major
-    out, at = np.unique(dst[k, j], return_inverse=True)
-    w = np.zeros(len(out), dtype=np.complex128)
-    np.add.at(w, at, coefficients[k] * values[j])  # in order: term by term
-    return out, w
+    return _scatter(coefficients, window.targets(ids[nz])[:, columns].T, values[nz])
 
 
-def _applied_norm(coefficients: list[complex], images: np.ndarray, wv: np.ndarray) -> float:
-    """||T w||, bit for bit as op_apply computes it, for the vector w with
-    values ``wv`` and ``images[k, j]`` the id of term k applied to point j.
+def _scatter(a: np.ndarray, dst: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the products ``a[k] * values[j]`` at images ``dst[k, j]``, -1
+    dropping one: the sorted images reached, and their sums.
 
-    Each image's coefficient is summed over T's terms in order, from products
-    formed as Python's complex multiplication forms them, and the norm is
-    exactly rounded by math.fsum.
+    Each product is formed from real parts, ``ar*vr - ai*vi`` and
+    ``ar*vi + ai*vr``, as Python's complex type forms it, so no SIMD kernel
+    fuses a multiply-add into it.  Each image sums its products from +0.0 in
+    term order (a term adds at most one, as left translation is injective
+    per symbol), as a scatter-add over the window and :func:`op_apply` do.
     """
-    wr, wi = wv.real, wv.imag
-    m = int(images.max()) + 1
-    acc_r = np.zeros(m)
-    acc_i = np.zeros(m)
-    for at, a in zip(images, coefficients):
-        acc_r += np.bincount(at, weights=a.real * wr - a.imag * wi, minlength=m)
-        acc_i += np.bincount(at, weights=a.real * wi + a.imag * wr, minlength=m)
-    return math.sqrt(math.fsum(acc_r * acc_r + acc_i * acc_i))
+    k, j = np.nonzero(dst >= 0)  # term-major
+    at = dst[k, j]
+    ar, ai, vr, vi = a.real[k], a.imag[k], values.real[j], values.imag[j]
+    out = np.flatnonzero(np.bincount(at))
+    w = np.empty(len(out), dtype=np.complex128)
+    w.real = np.bincount(at, ar * vr - ai * vi)[out]  # in order: term by term
+    w.imag = np.bincount(at, ar * vi + ai * vr)[out]
+    return out, w
 
 
 def norm_lower_bound(
@@ -388,7 +377,7 @@ def norm_lower_bound(
     are built the first time ``witness`` is read.  Each symbol of T is
     inverted once, and T's term k acts through the window's symbol k.  The
     bound ||T w|| / ||w|| is computed on window ids, with the images outside
-    the window resolved exactly, and equals
+    the window resolved exactly, by :func:`_scatter` too, and equals
     ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
     use :func:`op_apply` as its oracle.  Norms in the iteration are summed
     by numpy rather than BLAS, so the result does not depend on the BLAS
@@ -417,8 +406,10 @@ def norm_lower_bound(
        does not fill the window, even if no entry was small, since the
        whole-window loop counts every point off the support as a small
        zero.
-    3. Each image sums its products from +0.0 in T's term order, and exact
-       zeros are dropped before the next matvec.
+    3. Each product is formed from real parts, as Python's complex type
+       forms it, and each image sums its products from +0.0 in T's term
+       order (:func:`_scatter`), so no value depends on numpy's SIMD
+       kernels; exact zeros are dropped before the next matvec.
 
     ``converged`` means only that the Rayleigh values stagnated below
     ``budget.residual_target``, not that the estimate is close to the norm.
@@ -447,8 +438,7 @@ def norm_lower_bound(
         raise ValueError("coefficients too small for the estimator: sum |a_g| below 2**-250")
 
     _, window = _window(T, space, budget, _last)
-    coefficients = list(T.coefficients.values())
-    a = np.array(coefficients, dtype=np.complex128)
+    a = np.array(list(T.coefficients.values()), dtype=np.complex128)
     fwd = a, np.arange(len(a))
     bwd = a.conj(), window.inverse[: len(a)]
 
@@ -501,11 +491,10 @@ def norm_lower_bound(
     nz, wv = ids[keep], v[keep]
     # the products and the exactly rounded sum of StateVector.norm
     wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
+    lower = 0.0
     if wn > 0:
-        images = window.images(np.arange(len(coefficients)), nz)
-        lower = _applied_norm(coefficients, images, wv) / wn
-    else:
-        lower = 0.0
+        _, tw = _scatter(a, window.images(np.arange(len(a)), nz), wv)
+        lower = math.sqrt(math.fsum((tw.real * tw.real + tw.imag * tw.imag).tolist())) / wn
     radius = int(window.depth[nz].max(initial=0))
     return NormEstimate(
         lower_bound=lower,

@@ -277,10 +277,11 @@ class CayleyWindow:
     :meth:`images` build rows only for the images whose fingerprint matches
     a stored point or an earlier image.
 
-    :meth:`close` costs a fixed amount per block of images, so it keeps the
-    blocks few.  Each block's hashes are sorted once, and the lookup, the
-    grouping of new words by first occurrence, their ids and the merge into
-    the sorted index all read that one order (:meth:`_intern`).  A window
+    Every lookup and every insert is one :meth:`_intern` call, which sorts
+    its hashes once: the lookup, the grouping of new words by first
+    occurrence, their ids and the merge into the sorted index all read that
+    one order.  :meth:`close` costs a fixed amount per block of images, so
+    it keeps the blocks few.  A window
     acted on by one element x and its inverse, besides the identity, is the
     line of the powers of x: its levels are found by doubling, t levels
     from one multiplication of stored powers by x**t and x**-t
@@ -396,7 +397,7 @@ class CayleyWindow:
         way raise OverflowError.
         """
         window = cls(presentation, symbols, inverse)
-        ids = window._intern(rows, lens, len(lens), 0)
+        ids = window._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]), len(lens))
         window._check_reach(window._max_exponent(window._sym) + window._max_exponent(rows))
         window.close(0, window.size)  # at depth 0 the window is full at once
         return window, ids
@@ -407,37 +408,35 @@ class CayleyWindow:
         mine = [i for i, x in enumerate(points) if x.presentation == self.presentation]
         if mine:
             rows, lens = self.encode(self.presentation, [points[i] for i in mine])
-            ids[mine] = self._find(_hash(rows), lambda idx: (rows[idx], lens[idx]))
+            ids[mine] = self._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]))
         return ids
 
     # -- identity --------------------------------------------------------
 
-    def _find(self, h: np.ndarray, rows_of) -> np.ndarray:
-        """Ids of the words with hashes ``h``, or -1 where they are not stored.
+    def _intern(self, h: np.ndarray, rows_of, room: int = 0, depth: int | np.ndarray = 0) -> np.ndarray:
+        """Ids of the words with hashes ``h``, or -1 where they are not
+        stored; with ``room``, absent ones join in first-occurrence order
+        while it lasts, at ``depth``, one for all or one per word.
 
         ``rows_of(idx)`` returns the rows and lengths of the words ``idx``,
-        which may repeat; it is asked only for words whose hash is stored, a
-        block of :meth:`_pair_step` comparisons at a time.
+        which may repeat; the lookup asks it for words whose hash is stored, a
+        block of :meth:`_pair_step` comparisons at a time.  The hashes are
+        sorted once (stably with room, :func:`_stable_argsort`), which keeps
+        the searches cache-friendly, and the rest reads that one order: each
+        word is compared with the stored words of its hash, a run bounded by a
+        search to each side (stored words are distinct, so at most one
+        matches); the misses are grouped by their words (:func:`_group`),
+        numbered by first occurrence (:func:`_first_ranks`) and merged into
+        the index at the ends of their hashes' runs.
         """
-        order = np.argsort(h)  # sorted needles make the binary searches cache-friendly
-        return self._match(h[order], order, rows_of)[0]
-
-    def _match(self, needles: np.ndarray, order: np.ndarray, rows_of) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_find` for the words ``order``, whose hashes are the sorted
-        ``needles``; also returns, at each position of ``order``, the end of
-        the run of stored words with that hash in the sorted index, which is
-        where a new word with that hash is merged in.
-
-        Each word is compared with every stored word of its hash, a run of
-        the sorted index bounded by a search to each side; stored words are
-        distinct, so at most one of them matches.
-        """
+        order = _stable_argsort(h) if room > 0 else np.argsort(h)
+        needles = h[order]
         index = self._index_fp
         lo = np.searchsorted(index, needles)
-        hi = lo.copy()
+        end = lo.copy()
         hit = index[np.minimum(lo, len(index) - 1)] == needles
-        hi[hit] = np.searchsorted(index, needles[hit], side="right")
-        runs = hi - lo
+        end[hit] = np.searchsorted(index, needles[hit], side="right")
+        runs = end - lo
         query = np.repeat(order, runs)
         at = np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
         ids = np.full(len(order), -1, dtype=np.int64)
@@ -446,32 +445,7 @@ class CayleyWindow:
             q, cand = query[i : i + step], self._index_id[at[i : i + step]]
             match = _rows_equal(*rows_of(q), self._words(cand), self._len[cand])
             ids[q[match]] = cand[match]
-        return ids, hi
-
-    def _intern(
-        self,
-        rows: np.ndarray,
-        lens: np.ndarray,
-        room: int,
-        depth: int | np.ndarray,
-        h: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Ids of the given words; absent ones join in first-occurrence order
-        while there is room, and the rest get -1.
-
-        ``depth`` is the depth of every word, or one for all; ``h`` their
-        hashes, if the caller has them.  The hashes are sorted once, by a
-        stable argsort (:func:`_stable_argsort`), and everything else is read off that one order: the
-        lookup of stored words (:meth:`_match`), the grouping of the misses
-        by their words (:func:`_group`), their ids by first occurrence
-        (:func:`_first_ranks`) and the merge of the new words into the sorted
-        index, at the ends of their hashes' runs that the lookup found.
-        """
-        if h is None:
-            h = _hash(rows)
-        order = _stable_argsort(h)
-        rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
-        ids, end = self._match(h[order], order, rows_of)
+        del needles, lo, hit, runs, query, at  # free the search's arrays before the inserts
         missed = np.flatnonzero(ids[order] < 0)
         miss = order[missed]  # still sorted, and stable within equal hashes
         if miss.size and room > 0:
@@ -482,8 +456,8 @@ class CayleyWindow:
             items = np.empty(np.count_nonzero(keep), dtype=np.int64)
             items[rank[keep]] = miss[keep]  # the same items, in id order
             fresh, at = self.size + rank[keep], end[missed[keep]]
-            depth = np.broadcast_to(depth, lens.shape)[items]
-            self._append(rows[items], lens[items], h[items], depth, self.size + room)
+            depth = np.broadcast_to(depth, h.shape)[items]
+            self._append(*rows_of(items), h[items], depth, self.size + room)
             self._index_fp = _insert(self._index_fp, at, h[miss[keep]])
             self._index_id = _insert(self._index_id, at, fresh)
         return ids
@@ -746,7 +720,8 @@ class CayleyWindow:
                 j = min(hi, i + max(1, self._pair_step() // U))
                 rows, lens = self._act(self._words(slice(i, j)), self._len[i:j], np.arange(U)[None, :])
                 rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
-                ids = self._intern(rows, lens, cap - self.size, self._depth[i] + 1)
+                rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
+                ids = self._intern(_hash(rows), rows_of, cap - self.size, self._depth[i] + 1)
                 blocks.append(ids.reshape(-1, U).astype(np.int32))
                 i = j
         unresolved = np.full((self.size - i, U), _UNRESOLVED, dtype=np.int32)
@@ -773,7 +748,8 @@ class CayleyWindow:
         last = min(max_depth, cap // 2, m // 2 if m else max_depth)
         if last < 1:
             return
-        self._intern(self._sym[self._line], self._sym_len[self._line], cap - self.size, 1)
+        rows, lens = self._sym[self._line], self._sym_len[self._line]
+        self._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]), cap - self.size, 1)
         t = 1
         while t < last:
             # 2k rows and a table of the store's width: 2k * 2 * width elements
@@ -786,7 +762,7 @@ class CayleyWindow:
                 (S, self._len[[2 * t - 1, 2 * t]], S[::-1]),
             )
             depth = np.repeat(np.arange(t + 1, t + k + 1), 2)
-            self._intern(rows[:, 0], lens[:, 0], cap - self.size, depth)
+            self._intern(_hash(rows[:, 0]), lambda idx: (rows[idx, 0], lens[idx, 0]), cap - self.size, depth)
             t += k
 
     def targets(self, ids: np.ndarray) -> np.ndarray:
@@ -808,7 +784,7 @@ class CayleyWindow:
             for i in range(0, len(todo), step):
                 block = todo[i : i + step]
                 pid, u = np.repeat(block, U), np.tile(np.arange(U), len(block))
-                found = self._find(self._compose(pid, u), lambda idx: self._pair_rows(pid[idx], u[idx]))
+                found = self._intern(self._compose(pid, u), lambda idx: self._pair_rows(pid[idx], u[idx]))
                 self._targets[block] = found.reshape(-1, U)
             rows = self._targets[ids]
         return rows

@@ -302,6 +302,16 @@ def reference_orbit_decompose(space, subgroup_generators, ball):
     return OrbitDecomposition(representatives, membership)
 
 
+def products(a, values):
+    """``a * values`` for a Python complex ``a``, each product formed from
+    real parts as Python's complex multiplication forms it, whichever SIMD
+    kernels numpy dispatches to."""
+    out = np.empty(len(values), dtype=np.complex128)
+    out.real = a.real * values.real - a.imag * values.imag
+    out.imag = a.real * values.imag + a.imag * values.real
+    return out
+
+
 def scatter_matvec(targets, terms, v):
     """The estimator's matvec as a scatter-add over the whole window.
 
@@ -316,7 +326,7 @@ def scatter_matvec(targets, terms, v):
     w = np.zeros(n, dtype=np.complex128)
     for a, u in terms:
         src, dst = maps[u]
-        w[dst] += a * v[src]  # left translation is injective per symbol
+        w[dst] += products(a, v[src])  # left translation is injective per symbol
     return w
 
 
@@ -336,7 +346,7 @@ def dense_matvec(window, terms, v):
     for a, u in terms:
         dst = images[:, u]
         inside = dst >= 0
-        w[dst[inside]] += a * values[inside]  # left translation is injective per symbol
+        w[dst[inside]] += products(a, values[inside])  # left translation is injective per symbol
     return w
 
 
@@ -345,9 +355,10 @@ def dense_norm_lower_bound(T, space, budget):
 
     The same window, start, iteration, pruning and re-certification, with
     every vector as long as the window: a point off the support is a zero,
-    which the prune counts as small.  Returns a NormEstimate.
+    which the prune counts as small.  The witness is re-certified by
+    ``op_apply``.  Returns a NormEstimate.
     """
-    from actrep.operators import NormEstimate, _applied_norm, _WitnessWords, _window
+    from actrep.operators import NormEstimate, _WitnessWords, _window, op_apply
 
     _, window = _window(T, space, budget)
     coefficients = list(T.coefficients.values())
@@ -392,13 +403,10 @@ def dense_norm_lower_bound(T, space, budget):
                 v /= nv
 
     nz = np.nonzero(v)[0]
-    wv = v[nz]
-    wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
-    if wn > 0:
-        images = window.images(np.arange(len(coefficients)), nz)
-        lower = _applied_norm(coefficients, images, wv) / wn
-    else:
-        lower = 0.0
+    witness = _WitnessWords(space, *window.codes(nz), v[nz])
+    vec = witness.decode()
+    wn = vec.norm()
+    lower = op_apply(T, vec).norm() / wn if wn > 0 else 0.0
     return NormEstimate(
         lower_bound=lower,
         iterations=iterations,
@@ -406,5 +414,5 @@ def dense_norm_lower_bound(T, space, budget):
         support_size=len(nz),
         radius_hint=int(window.depth[nz].max(initial=0)),
         converged=converged,
-        _witness=_WitnessWords(space, *window.codes(nz), wv),
+        _witness=witness,
     )

@@ -5,7 +5,8 @@ estimate, residual and witness value comes out of a float64 power
 iteration, so the bytes pin the estimator's arithmetic and its order of
 operations, not only its exact word arithmetic.  Estimator outputs have
 been found equal across numpy's SIMD dispatch levels and BLAS thread counts
-on an x86-64 host; other platforms and numpy 1.x are untested.
+on an x86-64 host, complex coefficients included (``average_complex``);
+other platforms and numpy 1.x are untested.
 
 Each ``tests/golden_estimator/<name>.cfg`` names its experiment, and a
 ``<name>.seed`` file passes ``--seed``, which pins the start-vector lookup.
@@ -28,7 +29,7 @@ CRITERION_9_CASES = ("c2_panalytic", "c3_average", "c4_ideal", "c5_panalytic_fal
 
 def test_golden_estimator_cases_present():
     assert CASES == [
-        "average_seeded", "c2_panalytic", "c3_average", "c4_ideal",
+        "average_complex", "average_seeded", "c2_panalytic", "c3_average", "c4_ideal",
         "c5_panalytic_falsified", "ideal_ab", "norm_free", "torsion_seeded",
     ]
     seeded = sorted(p.stem for p in GOLDEN_ESTIMATOR.glob("*.seed"))

@@ -512,6 +512,26 @@ def test_support_matvec_matches_scatter_add_over_the_window():
                 assert np.array_equal(ids, np.unique(images[images >= 0]))
 
 
+def test_matvec_follows_python_complex_arithmetic():
+    # numpy's SIMD kernels for complex products may fuse multiply-adds;
+    # the matvec's products and sums are those of Python's complex type,
+    # summed per image in term order, whichever kernels numpy dispatches to
+    T = FormalOperator(F2, {A: 0.37 + 0.61j, B * A.inverse(): 0.13 - 0.89j, A * B: -0.71 + 0.29j})
+    union, window = operators._window(T, SPACE, NormBudget(support_cap=500))
+    everywhere = np.arange(window.size)
+    targets = window.targets(everywhere)
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
+    for a, columns in _terms(T, union):
+        ids, w = operators._matvec(window, (a, columns), everywhere, v)
+        want: dict[int, complex] = {}
+        for c, u in zip(a.tolist(), columns.tolist()):
+            for y, x in zip(targets[:, u].tolist(), v.tolist()):
+                if y >= 0:
+                    want[y] = want.get(y, 0j) + c * x
+        assert dict(zip(ids.tolist(), w.tolist())) == want
+
+
 def _assert_same_estimate(got, want):
     assert got.lower_bound.hex() == want.lower_bound.hex()
     assert got.residual.hex() == want.residual.hex()

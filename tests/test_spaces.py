@@ -373,17 +373,19 @@ def test_line_doubling_goes_on_past_colliding_fingerprints(monkeypatch, mask):
         _assert_closes_as_reference(symbols, max_depth, cap)
 
 
-def test_close_batches_thin_levels(monkeypatch):
+def test_close_interning_calls(monkeypatch):
     # a line closes by doubling: level 1, then one interning per pass, so a
     # line whose words do not grow takes 1 + ceil(log2 levels) calls, and a
     # line of (b a)**t, whose rows widen, more passes of fewer levels each;
-    # every call stays within the block's number of elements
+    # every call stays within the block's number of elements.  Only calls
+    # with room, which can add words, are counted; lookups have none
     sizes = []
     intern = CayleyWindow._intern
 
-    def counted(self, rows, *args):
-        sizes.append(rows.size)
-        return intern(self, rows, *args)
+    def counted(self, h, rows_of, room=0, depth=0):
+        if room > 0:
+            sizes.append(rows_of(np.arange(len(h)))[0].size)
+        return intern(self, h, rows_of, room, depth)
 
     monkeypatch.setattr(CayleyWindow, "_intern", counted)
     most = {"F2 line a": 10, "Z ball": 10, "2e + b a": 13, "Z2*Z3 t": 1}  # interning calls per closure
