@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -675,7 +676,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache  # built once: a parser is a reference cycle, which only the collector frees
+def _parser() -> _Parser:
     parser = _Parser(
         prog="actrep",
         description="Conjugation-averaging experiments on Cayley-graph action representations.",
@@ -688,21 +690,17 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--svg", action="store_true", help="also write a small SVG chart")
         p.add_argument("--seed", type=int, default=None, help="randomized-restart seed")
         p.add_argument("--slack", type=float, default=DEFAULT_SLACK, help="falsification slack")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        code = run(
-            args.config,
-            args.experiment,
-            out_path=args.out,
-            emit_svg=args.svg,
-            seed=args.seed,
-            slack=args.slack,
-        )
+        return run(args.config, args.experiment, out_path=args.out, emit_svg=args.svg, seed=args.seed,
+                   slack=args.slack)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return code
 
 
 if __name__ == "__main__":

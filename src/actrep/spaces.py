@@ -445,10 +445,12 @@ class CayleyWindow:
             q, cand = query[i : i + step], self._index_id[at[i : i + step]]
             match = _rows_equal(*rows_of(q), self._words(cand), self._len[cand])
             ids[q[match]] = cand[match]
+        if room <= 0:
+            return ids
         del needles, lo, hit, runs, query, at  # free the search's arrays before the inserts
         missed = np.flatnonzero(ids[order] < 0)
         miss = order[missed]  # still sorted, and stable within equal hashes
-        if miss.size and room > 0:
+        if miss.size:
             first = _group(h, miss, rows_of, len(miss))
             rank = _first_ranks(first, len(h))
             ids[miss] = np.where(rank < room, self.size + rank, -1)

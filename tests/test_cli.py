@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from dataclasses import asdict
@@ -383,6 +384,24 @@ def test_csv_byte_determinism(tmp_path):
     main(["panalytic", "--config", cfg, "--out", str(out1)])
     main(["panalytic", "--config", cfg, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["blowup", "orbits", "pingpong_pass", "trace_S"])
+def test_main_leaves_no_cyclic_garbage(tmp_path, name):
+    """An exact run frees all it made by reference counting, so repeated
+    runs in one process free their memory at the same points, whenever the
+    collector runs; the argument parser, a reference cycle, is built once."""
+    cfg = GOLDEN / f"{name}.cfg"
+    experiment = name.split("_")[0]
+    argv = [experiment, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    main(argv)  # the first call builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_seed_changes_start_but_stays_sound(tmp_path):
