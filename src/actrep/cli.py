@@ -339,11 +339,8 @@ def _norm_budget(config: ExperimentConfig, seed: int | None, symbols) -> NormBud
     """The estimator budget; a seed adds a random start vector supported on
     the base point and its images under ``symbols``.
 
-    The draws go to the points in the iteration order of ``symbols``.  The
-    runners pass ``T.support``, a set, whose order follows
-    ``GroupElement.__hash__``, so a seeded run's output bytes depend on that
-    hash.  It is the same in every process (a tuple of ints is not salted),
-    but a change to it would move every seeded estimate.
+    The draws go to the points in the order of ``symbols``, which the
+    runners pass in T's term order.
     """
     if seed is None:
         return config.norm_budget
@@ -384,7 +381,7 @@ def run_average(config: ExperimentConfig, seed: int | None, slack: float) -> Exp
     if b.J_list is None and b.J_max < 1:
         raise ValueError("J_max must be >= 1")
     J_list = list(b.J_list) if b.J_list is not None else list(range(1, b.J_max + 1))
-    budget = _norm_budget(config, seed, T.support)
+    budget = _norm_budget(config, seed, T.coefficients)
     rep = averaging_decay_report(T, g, J_list, C=b.C, budget=budget, slack=slack)
     summary = [
         f"average: |supp T|={len(T)} g={g} identity coefficient={rep.identity_coefficient}",
@@ -396,7 +393,7 @@ def run_average(config: ExperimentConfig, seed: int | None, slack: float) -> Exp
 def run_norm(config: ExperimentConfig, seed: int | None, slack: float) -> ExperimentResult:
     T = config.operator("T")
     bound = triangle_upper_bound(T)
-    budget = _norm_budget(config, seed, T.support)
+    budget = _norm_budget(config, seed, T.coefficients)
     space = CayleySpace(config.presentation)
     rep = envelope_sweep([0], lambda _: T, lambda _: bound, budget, space, slack)
     est = rep.rows[0].estimate
@@ -494,7 +491,7 @@ def run_ideal(config: ExperimentConfig, seed: int | None, slack: float) -> Exper
     k = config.element("k")
     g = config.element("g")
     b = config.budgets
-    budget = _norm_budget(config, seed, T.translate_left(k.inverse()).support)
+    budget = _norm_budget(config, seed, T.translate_left(k.inverse()).coefficients)
     rep = ideal_experiment(T, k, g, b.J_max, C=b.C, budget=budget, slack=slack)
     summary = [
         f"ideal: pivot k={k} with coefficient {rep.identity_coefficient}, g={g}, "

@@ -100,10 +100,7 @@ class GroupElement:
     ``(factor_index, exponent)`` pairs in normal form.
 
     The hash is the tuple hash of ``syllables``.  It collides more than it
-    must (``hash(-1) == hash(-2)``, so a^-1 and a^-2 share it), but it fixes
-    the iteration order of sets of elements, and seeded CLI runs draw their
-    start vector in that order (``cli._norm_budget``): changing the hash
-    changes their output bytes.
+    must (``hash(-1) == hash(-2)``, so a^-1 and a^-2 share it).
     """
 
     __slots__ = ("presentation", "syllables", "_hash")

@@ -193,12 +193,14 @@ class NormBudget:
     """Resource limits for :func:`norm_lower_bound`.
 
     ``start_vector`` lets a caller opt into a randomized restart; its support
-    must meet the explored set.  ``residual_target`` is an absolute
-    tolerance on the change of successive Rayleigh values, not one relative
-    to the operator's scale: an operator scaled by ``2**-20`` changes by
-    less than the default ``1e-6`` at once and stops after 2 iterations.
-    Scale ``residual_target`` with the operator to keep the same stopping
-    rule.
+    must meet the explored set.  After each step the iteration drops the
+    entries of modulus below ``prune_threshold``, compared as squares,
+    ``re*re + im*im < prune_threshold**2``; a threshold of 0 or less keeps
+    every nonzero entry.  ``residual_target`` is an absolute tolerance on
+    the change of successive Rayleigh values, not one relative to the
+    operator's scale: an operator scaled by ``2**-20`` changes by less than
+    the default ``1e-6`` at once and stops after 2 iterations.  Scale
+    ``residual_target`` with the operator to keep the same stopping rule.
     """
 
     max_iterations: int = 150
@@ -262,20 +264,15 @@ class NormEstimate:
         return same and self.witness == other.witness
 
 
-def _norm(size: int, ids: np.ndarray, values: np.ndarray) -> np.float64:
-    """Euclidean norm of the window vector with ``values`` at ``ids``.
-
-    The squares of the real and imaginary parts are summed by numpy over
-    the whole window, interleaved in id order with zeros off the support.
-    numpy's pairwise sum groups its terms by position, so summing only the
-    support's squares, or appending zeros, can change the last bits; and
-    np.linalg.norm goes through BLAS, whose reduction order, and so the last
-    bits, depend on its thread count.
+def _norm(values: np.ndarray) -> np.float64:
+    """Euclidean norm of a vector stored as its support's ``values``, in id
+    order: the squares of the real and imaginary parts, interleaved, are
+    summed by numpy's pairwise ``np.add.reduce``, not by np.linalg.norm,
+    which goes through BLAS, whose reduction order, and so the last bits,
+    depend on its thread count.
     """
-    sq = np.zeros((size, 2))
-    x = values.view(np.float64).reshape(-1, 2)
-    sq[ids] = x * x
-    return np.sqrt(np.add.reduce(sq.ravel()))
+    x = values.view(np.float64)
+    return np.sqrt(np.add.reduce(x * x))
 
 
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: list | None = None):
@@ -313,17 +310,17 @@ def _matvec(
     """sum a pi(g) v on the window, for ``terms``: the coefficients a and the
     window columns of the g, in T's order; v is stored as its support, the
     window ``ids`` and their ``values``.  Returns the result the same way
-    (:func:`_scatter`), with images outside the window dropped; exact zeros
-    of v are dropped first, and values of the result may cancel to exactly 0.
+    (:func:`_scatter`), with images outside the window and images whose sum
+    cancels to exactly 0 dropped.
     """
     coefficients, columns = terms
-    nz = values != 0
-    return _scatter(coefficients, window.targets(ids[nz])[:, columns].T, values[nz])
+    return _scatter(coefficients, window.targets(ids)[:, columns].T, values)
 
 
 def _scatter(a: np.ndarray, dst: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the products ``a[k] * values[j]`` at images ``dst[k, j]``, -1
-    dropping one: the sorted images reached, and their sums.
+    dropping one: the sorted images reached whose sum is not exactly 0, and
+    their sums, so a result never holds an exact zero.
 
     Each product is formed from real parts, ``ar*vr - ai*vi`` and
     ``ar*vi + ai*vr``, as Python's complex type forms it, so no SIMD kernel
@@ -338,7 +335,8 @@ def _scatter(a: np.ndarray, dst: np.ndarray, values: np.ndarray) -> tuple[np.nda
     w = np.empty(len(out), dtype=np.complex128)
     w.real = np.bincount(at, ar * vr - ai * vi)[out]  # in order: term by term
     w.imag = np.bincount(at, ar * vi + ai * vr)[out]
-    return out, w
+    keep = w != 0
+    return out[keep], w[keep]
 
 
 def norm_lower_bound(
@@ -353,8 +351,8 @@ def norm_lower_bound(
     The orbit of the base point (the identity) under the symbols of T and T*
     is enumerated breadth-first up to the support cap, and v <- T* T v is
     iterated on that finite window from the Dirac vector at the base point,
-    or from ``budget.start_vector``, pruning entries below
-    the threshold.  The reported bound applies T to the final vector with no
+    or from ``budget.start_vector``, pruning entries of modulus below the
+    threshold.  The reported bound applies T to the final vector with no
     truncation, so it is attained and sound regardless of how aggressively
     the iteration itself was capped or pruned.
 
@@ -395,21 +393,18 @@ def norm_lower_bound(
     sweep returns.
 
     The iterate is stored as its support, sorted window ids and their
-    values, and T and T* move only the support (:func:`_matvec`).  Every
+    nonzero values, and T and T* move only the support (:func:`_matvec`).
+    Norms sum the support's squares in id order (:func:`_norm`), whatever
+    the window's length.  After each step the prune drops the entries whose
+    squared modulus is below ``prune_threshold**2``, a test on products
+    formed from real parts, so it does not depend on how numpy's complex
+    ``abs`` rounds, and the iterate is renormalised only when a nonzero
+    entry was dropped.  Each product is formed from real parts, as Python's complex type forms
+    it, and each image sums its products from +0.0 in T's term order
+    (:func:`_scatter`), so no value depends on numpy's SIMD kernels.  Every
     value equals, bit for bit, that of the same loop run on vectors as long
-    as the window (``tests/oracles.py``), by three rules:
-
-    1. Norms keep the window's length: :func:`_norm` sums the squares over
-       the whole window, with zeros off the support, since numpy's pairwise
-       sum groups its terms by position.
-    2. After the prune, the iterate is renormalised whenever the support
-       does not fill the window, even if no entry was small, since the
-       whole-window loop counts every point off the support as a small
-       zero.
-    3. Each product is formed from real parts, as Python's complex type
-       forms it, and each image sums its products from +0.0 in T's term
-       order (:func:`_scatter`), so no value depends on numpy's SIMD
-       kernels; exact zeros are dropped before the next matvec.
+    as the window, whose norms and prune skip the zero entries
+    (``tests/oracles.py``).
 
     ``converged`` means only that the Rayleigh values stagnated below
     ``budget.residual_target``, not that the estimate is close to the norm.
@@ -442,7 +437,6 @@ def norm_lower_bound(
     fwd = a, np.arange(len(a))
     bwd = a.conj(), window.inverse[: len(a)]
 
-    n = window.size
     if budget.start_vector is not None:
         start = list(budget.start_vector.coefficients.items())
         found = window.lookup([x for x, _ in start])
@@ -452,56 +446,57 @@ def norm_lower_bound(
         v = np.array([c for _, c in start], dtype=np.complex128)[order]
         # a power of two scales exactly, and keeps the squares of _norm in range
         v *= 2.0 ** min(-math.frexp(np.abs(v.view(np.float64)).max(initial=0.0))[1], 1023)
-        nv = _norm(n, ids, v)
+        nv = _norm(v[v != 0])
         if nv == 0:
             raise ValueError("start_vector support misses the explored window")
         v /= nv
+        keep = v != 0  # entries far below the largest underflow to 0 when scaled
+        ids, v = ids[keep], v[keep]
     else:
         ids, v = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
 
+    threshold = max(budget.prune_threshold, 0.0) ** 2
     ray: float | None = None  # the latest Rayleigh value
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
         w_ids, w = _matvec(window, fwd, ids, v)
-        prev, ray = ray, float(_norm(n, w_ids, w) / _norm(n, ids, v))
+        prev, ray = ray, float(_norm(w) / _norm(v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
         u_ids, u = _matvec(window, bwd, w_ids, w)
-        nu = _norm(n, u_ids, u)
+        nu = _norm(u)
         if nu == 0.0:
             break
         ids, v = u_ids, u / nu
-        if budget.prune_threshold > 0:
-            small = np.abs(v) < budget.prune_threshold
-            # every window point off the support is a zero, and so small
-            if small.any() or len(ids) < n:
-                keep = ~small
-                ids, v = ids[keep], v[keep]
-                nv = _norm(n, ids, v)
+        # small entries, and entries the division underflowed to exactly 0
+        small = v.real * v.real + v.imag * v.imag < threshold if threshold > 0 else v == 0
+        if small.any():
+            pruned = v[small].any()
+            keep = ~small
+            ids, v = ids[keep], v[keep]
+            if pruned:  # a nonzero entry left the iterate
+                nv = _norm(v)
                 if nv == 0.0:
                     break
                 v /= nv
 
-    keep = v != 0
-    nz, wv = ids[keep], v[keep]
     # the products and the exactly rounded sum of StateVector.norm
-    wn = math.sqrt(math.fsum((wv.real * wv.real + wv.imag * wv.imag).tolist()))
+    wn = math.sqrt(math.fsum((v.real * v.real + v.imag * v.imag).tolist()))
     lower = 0.0
     if wn > 0:
-        _, tw = _scatter(a, window.images(np.arange(len(a)), nz), wv)
+        _, tw = _scatter(a, window.images(np.arange(len(a)), ids), v)
         lower = math.sqrt(math.fsum((tw.real * tw.real + tw.imag * tw.imag).tolist())) / wn
-    radius = int(window.depth[nz].max(initial=0))
     return NormEstimate(
         lower_bound=lower,
         iterations=iterations,
         residual=residual,
-        support_size=len(nz),
-        radius_hint=radius,
+        support_size=len(ids),
+        radius_hint=int(window.depth[ids].max(initial=0)),
         converged=converged,
-        _witness=_WitnessWords(space, *window.codes(nz), wv),
+        _witness=_WitnessWords(space, *window.codes(ids), v),
     )

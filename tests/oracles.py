@@ -332,8 +332,8 @@ def scatter_matvec(targets, terms, v):
 
 def dense_norm(v):
     """Euclidean norm of a whole-window vector, summed by numpy over the
-    interleaved real and imaginary parts."""
-    x = v.view(np.float64)
+    interleaved real and imaginary parts of its nonzero entries in id order."""
+    x = v[v != 0].view(np.float64)
     return np.sqrt(np.sum(x * x))
 
 
@@ -354,9 +354,10 @@ def dense_norm_lower_bound(T, space, budget):
     """``norm_lower_bound`` with the iterate stored as a whole-window vector.
 
     The same window, start, iteration, pruning and re-certification, with
-    every vector as long as the window: a point off the support is a zero,
-    which the prune counts as small.  The witness is re-certified by
-    ``op_apply``.  Returns a NormEstimate.
+    every vector as long as the window: norms run over the nonzero entries,
+    and the prune zeroes the nonzero entries whose squared modulus is below
+    the threshold's square, renormalising only when it zeroed one.  The
+    witness is re-certified by ``op_apply``.  Returns a NormEstimate.
     """
     from actrep.operators import NormEstimate, _WitnessWords, _window, op_apply
 
@@ -394,7 +395,7 @@ def dense_norm_lower_bound(T, space, budget):
             break
         v = u / nu
         if budget.prune_threshold > 0:
-            small = np.abs(v) < budget.prune_threshold
+            small = (v != 0) & (v.real**2 + v.imag**2 < budget.prune_threshold**2)
             if small.any():
                 v[small] = 0.0
                 nv = dense_norm(v)

@@ -23,7 +23,7 @@ from actrep.cli import (
     run,
 )
 from actrep.dynamics import PASS, averaging_decay_report, ideal_experiment
-from actrep.groups import INFINITE, free_group, free_product, reduce
+from actrep.groups import INFINITE, GroupElement, free_group, free_product, reduce
 from actrep.operators import FormalOperator, op_apply
 from actrep.spaces import CayleySpace
 
@@ -464,10 +464,10 @@ def _library_report(cfg, seed=None):
     b = config.budgets
     T, g = config.operator("T"), config.element("g")
     if config.experiment == "average":
-        budget = cli._norm_budget(config, seed, T.support)
+        budget = cli._norm_budget(config, seed, T.coefficients)
         return averaging_decay_report(T, g, list(range(1, b.J_max + 1)), C=b.C, budget=budget)
     k = config.element("k")
-    budget = cli._norm_budget(config, seed, T.translate_left(k.inverse()).support)
+    budget = cli._norm_budget(config, seed, T.translate_left(k.inverse()).coefficients)
     return ideal_experiment(T, k, g, b.J_max, C=b.C, budget=budget)
 
 
@@ -513,6 +513,29 @@ def test_seed_randomizes_average_and_ideal(tmp_path, text):
         w = row.estimate.witness
         if w is not None:
             assert op_apply(row.operator, w).norm() / w.norm() == row.estimate.lower_bound
+
+
+def test_seeded_start_follows_term_order_not_the_element_hash(tmp_path, monkeypatch):
+    # the seeded start vector draws its values in T's term order, so a
+    # seeded run's bytes do not depend on GroupElement.__hash__
+    cfg = write_config(tmp_path, """
+presentation.orders = inf, inf
+presentation.names = a, b
+experiment = average
+operator.T = 2*e; 1*b a; 0.5*a^-1; 0.5*a^-2; 0.25*b^2 a
+elements.g = a
+budgets.J_list = 1, 2, 3
+budgets.support_cap = 1000
+""")
+
+    def seeded_csv(name):
+        out = tmp_path / name
+        assert main(["average", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_PASS
+        return out.read_bytes()
+
+    tuple_hash = seeded_csv("tuple_hash.csv")
+    monkeypatch.setattr(GroupElement, "__hash__", lambda self: hash(self.syllables[::-1]) ^ 0x5BD1E995)
+    assert seeded_csv("other_hash.csv") == tuple_hash
 
 
 def test_runner_table_covers_experiments_and_is_read_at_call_time(tmp_path, monkeypatch):

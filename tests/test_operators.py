@@ -493,7 +493,8 @@ def _terms(T, union):
 def test_support_matvec_matches_scatter_add_over_the_window():
     # moving only the support, and summing each image from +0.0 in term
     # order, gives the scatter-add over the whole window bit for bit; the
-    # result's ids are the images of the nonzero entries inside the window
+    # result's ids are the images of the nonzero entries inside the window,
+    # since no sum of these random values cancels to 0
     rng = np.random.default_rng(6)
     for T, space, budget in _window_cases():
         # a fresh window, so that the first matvec resolves its rows itself
@@ -558,54 +559,101 @@ def test_norm_lower_bound_matches_the_dense_loop(prune):
         _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
 
 
-def test_norm_lower_bound_matches_the_dense_loop_on_a_filled_window(monkeypatch):
-    # once the support fills the window and no entry is small, neither loop
-    # renormalises after the prune: three norms per iteration, not four
+def test_three_norms_per_iteration_when_nothing_is_pruned(monkeypatch):
+    # a threshold below every entry prunes nothing, so the iterate is never
+    # renormalised after the prune, whether its support fills the window
+    # (cap 9) or not (cap 400): three norms per iteration, as in the dense loop
     s, t = Z2Z3.generators()
     T = FormalOperator(Z2Z3, {s: 0.5, t: 0.25, t * s: 0.25j})
-    budget = NormBudget(max_iterations=30, support_cap=9, residual_target=0.0)
-    est = norm_lower_bound(T, S23, budget)
-    _assert_same_estimate(est, dense_norm_lower_bound(T, S23, budget))
-    assert est.support_size == 9
     calls = []
     norm = operators._norm
-    monkeypatch.setattr(operators, "_norm", lambda *args: calls.append(1) or norm(*args))
-    norm_lower_bound(T, S23, budget)
-    assert 3 * est.iterations <= len(calls) < 4 * est.iterations - 10
+    for cap in (9, 400):
+        budget = NormBudget(max_iterations=30, support_cap=cap, prune_threshold=1e-150, residual_target=0.0)
+        est = norm_lower_bound(T, S23, budget)
+        _assert_same_estimate(est, dense_norm_lower_bound(T, S23, budget))
+        _assert_same_estimate(est, norm_lower_bound(T, S23, replace(budget, prune_threshold=0.0)))
+        assert est.iterations == 30 and (est.support_size == 9) == (cap == 9)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_norm", lambda *args: calls.append(cap) or norm(*args))
+            norm_lower_bound(T, S23, budget)
+        assert calls.count(cap) == 3 * est.iterations
 
 
 def test_norm_lower_bound_matches_the_dense_loop_when_an_entry_cancels():
     # T = e + a from delta_e - delta_{a^-1}: T v = delta_a - delta_{a^-1},
-    # and the entry at e cancels to exactly 0 and leaves the support
+    # and the image at e cancels to exactly 0 and leaves the matvec's output
     T = FormalOperator(F2, {E: 1.0, A: 1.0})
     budget = NormBudget(max_iterations=20, support_cap=200,
                         start_vector=StateVector(SPACE, {E: 1.0, A.inverse(): -1.0}))
     union, window = operators._window(T, SPACE, budget)
     ids = window.lookup([E, A.inverse()])
     out, w = operators._matvec(window, _terms(T, union)[0], ids, np.array([1.0, -1.0], dtype=complex))
-    assert out[0] == 0 and w[0] == 0 and np.count_nonzero(w) == 2
+    assert sorted(out.tolist()) == sorted(window.lookup([A, A.inverse()]).tolist())
+    assert np.count_nonzero(w) == len(w) == 2
     _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
 
 
+def test_norm_lower_bound_matches_the_dense_loop_when_entries_underflow():
+    # an entry can round to exactly 0 when the start vector is scaled, or
+    # when an iterate is divided by its norm; it leaves the support at once,
+    # without a renormalisation, as the dense loop never sees it
+    scale = 2.0**100
+    T = FormalOperator(F2, {E: scale, A: scale * 2.0**-540, B: scale * 0.5, B * A: scale * 0.25j})
+    budget = NormBudget(max_iterations=6, support_cap=3000, prune_threshold=0.0, residual_target=0.0)
+    est = norm_lower_bound(T, SPACE, budget)
+    _assert_same_estimate(est, dense_norm_lower_bound(T, SPACE, budget))
+    assert np.all(est._witness.values != 0)
+    rng = random.Random(5)
+    T = FormalOperator(F2, {E: 0.5, A: 0.25, B: 0.5j, B * A: 0.25})
+    words = [E, A, B, A * A, B * B, A * B, B * A, A.inverse(), B.inverse(), A * A * B, B.inverse() * A]
+    for _ in range(40):
+        start = {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.choice([300, 299, -300, -310, 0])
+                 for x in rng.sample(words, 9)}
+        budget = NormBudget(max_iterations=1, support_cap=500, start_vector=StateVector(SPACE, start))
+        _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
+
+
+def test_prune_compares_squares_formed_from_real_parts():
+    # the prune keeps exactly the entries with re*re + im*im >= threshold**2,
+    # at thresholds within an ulp of an entry's modulus, where numpy's
+    # complex abs, whose rounding depends on its SIMD kernels, may disagree
+    T = FormalOperator(F2, {E: 0.5, A: 0.25 + 0.1j, B: 0.5j, B * A: 0.25})
+    budget = NormBudget(max_iterations=1, support_cap=500, prune_threshold=0.0)
+    v = norm_lower_bound(T, SPACE, budget)._witness.values  # one step, unpruned
+    sq = v.real * v.real + v.imag * v.imag
+    for x in np.sqrt(sq).tolist():
+        for t in (math.nextafter(x, 0), x, math.nextafter(x, 1)):
+            est = norm_lower_bound(T, SPACE, replace(budget, prune_threshold=t))
+            assert est.support_size == np.count_nonzero(sq >= t**2)
+
+
 def test_support_norm_equals_the_whole_window_norm():
-    # the support's squares, scattered into the whole window, sum to the
-    # bits of the norm of the whole-window vector; supports at the end too
+    # the support's interleaved squares, summed in id order, give the bits
+    # of the norm of the whole-window vector over its nonzero entries
     rng = np.random.default_rng(8)
     for size in (1, 7, 20, 129, 1000, 6000):
         for k in sorted({0, 1, min(3, size), size // 2, size}):
             for ids in (np.sort(rng.choice(size, k, replace=False)), np.arange(size - k, size)):
                 values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                values[rng.random(k) < 0.2] *= 1j  # some with a zero real part
                 dense = np.zeros(size, dtype=np.complex128)
                 dense[ids] = values
-                assert operators._norm(size, ids, values).hex() == dense_norm(dense).hex()
-    # numpy's pairwise sum groups terms by position: summed alone, the
-    # support's squares give other bits than the window's
-    ids, values = np.array([3, 11, 19]), np.array([-1.288 + 0.696j, 0.395 - 1.184j, 0.43 - 0.662j])
-    dense = np.zeros(20, dtype=np.complex128)
-    dense[ids] = values
-    x = values.view(np.float64)
-    assert operators._norm(20, ids, values).hex() == dense_norm(dense).hex()
-    assert np.sqrt(np.sum(x * x)).hex() != dense_norm(dense).hex()
+                assert operators._norm(values).hex() == dense_norm(dense).hex()
+
+
+def test_estimate_independent_of_the_window_beyond_the_iterate():
+    # two caps whose windows both hold every point within 2m of the base
+    # point, all that m iterations reach, give the same estimate and witness
+    s, t = Z2Z3.generators()
+    T = FormalOperator(Z2Z3, {s: 0.5, t: 0.25, t * s: 0.25j, s * t * t: 0.1})
+    for m in (3, 4, 5):
+        budget = NormBudget(max_iterations=m, support_cap=10**6, residual_target=0.0)
+        _, window = operators._window(T, S23, budget)
+        inner_cap = int(np.count_nonzero(window.depth <= 2 * m))
+        assert inner_cap < window.size
+        small = norm_lower_bound(T, S23, replace(budget, support_cap=inner_cap))
+        _assert_same_estimate(small, norm_lower_bound(T, S23, budget))
+        assert small.iterations == m
 
 
 def test_norm_lower_bound_equals_exact_reapplication():
