@@ -249,15 +249,15 @@ def envelope_sweep(
     ``require_convergence`` is set and the estimate failed to stabilize,
     which makes it INCONCLUSIVE.
 
-    The sweep owns the estimator's last closed window: it hands one holder
-    to every :func:`norm_lower_bound` call, so a row whose symbols and
-    budget limits match the previous window's reuses it instead of closing
-    it again, and the window is freed when the sweep returns.
+    The sweep owns the estimator's last window: it hands one holder to
+    every :func:`norm_lower_bound` call, so a row whose symbols and budget
+    limits match the previous window's reuses it instead of growing it
+    again, and the window is freed when the sweep returns.
     """
     if not slack >= 0:  # a negative slack falsifies rows under their envelope; NaN, none
         raise ValueError(f"slack must be >= 0, got {slack}")
     rows: list[EnvelopeRow] = []
-    last: list = [None]  # the last (key, window) closed, see operators._window
+    last: list = [None]  # the last (key, window) built, see operators._window
     for J in J_values:
         T = operator_for_J(J)
         est = norm_lower_bound(T, space, budget, _last=last)

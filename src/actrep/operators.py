@@ -276,18 +276,19 @@ def _norm(values: np.ndarray) -> np.float64:
 
 
 def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: list | None = None):
-    """The estimator's window: the identity closed under the symbols of T,
-    then their inverses, up to depth ``2 * max_iterations + 1`` and
-    ``support_cap`` points.  Returns those symbols and the window, whose
-    ``inverse`` gives the position of each symbol's inverse among them.
-    T's symbols come first, in T's order, so T's term k acts through window
-    symbol k.  Each symbol of T is inverted once.
+    """The estimator's window: the identity, closed on demand under the
+    symbols of T, then their inverses, up to depth ``2 * max_iterations +
+    1`` and ``support_cap`` points.  Returns those symbols and the window,
+    whose ``inverse`` gives the position of each symbol's inverse among
+    them.  T's symbols come first, in T's order, so T's term k acts through
+    window symbol k.  Each symbol of T is inverted once.
 
-    ``last`` is a one-item list holding the last ``(key, window)`` closed
+    ``last`` is a one-item list holding the last ``(key, window)`` built
     through it, or None.  Its window is handed back while the symbols, in
-    order, and both limits stay the same, with every symbol target resolved
-    so far; otherwise the list is emptied before the new window closes, and
-    then holds it.  Without ``last`` a fresh window is closed.
+    order, and both limits stay the same, as far as it has grown and with
+    every symbol target resolved so far; otherwise the list is emptied
+    before the new window is built, and then holds it.  Without ``last`` a
+    fresh window is built.
     """
     inv = {g: g.inverse() for g in T.coefficients}
     union = tuple(dict.fromkeys([*inv, *inv.values()]))
@@ -298,9 +299,8 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: lis
         last[0] = None  # free the old window before the new one grows
         slot = {g: u for u, g in enumerate(union)}
         inverse_of = {**{gi: g for g, gi in inv.items()}, **inv}
-        window = CayleyWindow(space.presentation, union, [slot[inverse_of[g]] for g in union])
-        window.close(max_depth, budget.support_cap)
-        last[0] = (key, window)
+        inverse = [slot[inverse_of[g]] for g in union]
+        last[0] = (key, CayleyWindow(space.presentation, union, inverse, max_depth, budget.support_cap))
     return list(union), last[0][1]
 
 
@@ -348,9 +348,9 @@ def norm_lower_bound(
 ) -> NormEstimate:
     """Certified lower bound on ||sum a_g pi(g)|| via compressed power iteration.
 
-    The orbit of the base point (the identity) under the symbols of T and T*
-    is enumerated breadth-first up to the support cap, and v <- T* T v is
-    iterated on that finite window from the Dirac vector at the base point,
+    The orbit of the base point (the identity) under the symbols of T and T*,
+    enumerated breadth-first up to the support cap, is a finite window, and
+    v <- T* T v is iterated on it from the Dirac vector at the base point,
     or from ``budget.start_vector``, pruning entries of modulus below the
     threshold.  The reported bound applies T to the final vector with no
     truncation, so it is attained and sound regardless of how aggressively
@@ -362,17 +362,18 @@ def norm_lower_bound(
     rows are equal), and whole blocks of points are multiplied by the
     symbols at once while the window grows.  Once it is full, an image's
     hash is composed from its symbol's prefix and its point's suffix, and a
-    row is built only when that hash is stored.  It grows
-    level by level in the same breadth-first order as a point-by-point
-    loop: new points in first-occurrence order of the (point, symbol) scan,
-    up to depth ``2 * max_iterations + 1``, truncated at ``support_cap``.
-    Growth stops as soon as the window is full; a point's images under the
-    symbols are then looked up the first time the iterate or the
-    re-certification reaches it, which gives the ids the full closure would
-    and spares the window points the iteration never touches.  Group
-    elements are built only for the ``start_vector`` lookup: the estimate
-    keeps the witness as a copy of its window rows, and its group elements
-    are built the first time ``witness`` is read.  Each symbol of T is
+    row is built only when that hash is stored.  It grows level by level in
+    the same breadth-first order as a point-by-point loop: new points in
+    first-occurrence order of the (point, symbol) scan, up to depth
+    ``2 * max_iterations + 1``, truncated at ``support_cap``, and only as
+    far as the iterate, the re-certification and the ``start_vector``
+    lookup reach, so its ids are those of the full closure.  Once it is
+    full, a point's images under the symbols are looked up the first time
+    the iteration or the re-certification reaches it, which spares the
+    window points the iteration never touches.  Group elements are built
+    only for the ``start_vector`` lookup: the estimate keeps the witness as
+    a copy of its window rows, and its group elements are built the first
+    time ``witness`` is read.  Each symbol of T is
     inverted once, and T's term k acts through the window's symbol k.  The
     bound ||T w|| / ||w|| is computed on window ids, with the images outside
     the window resolved exactly, by :func:`_scatter` too, and equals
@@ -381,16 +382,16 @@ def norm_lower_bound(
     by numpy rather than BLAS, so the result does not depend on the BLAS
     thread count.
 
-    A call closes a fresh window and keeps none, unless the caller passes
-    ``_last``, a one-item list that holds the last window closed through it
+    A call builds a fresh window and keeps none, unless the caller passes
+    ``_last``, a one-item list that holds the last window built through it
     (:func:`_window`).  :func:`~actrep.dynamics.envelope_sweep` passes one
     list to every row of a sweep: a row with the same symbols in the same
     order (the union of T's symbols and their inverses), the same
-    ``max_iterations`` and the same ``support_cap`` as the last closed
-    window reuses it, with the images it has already looked up, as the rows
-    of a torsion sweep do, whose conjugates cycle.  Any other row frees the
-    old window before closing its own, and the last one is freed when the
-    sweep returns.
+    ``max_iterations`` and the same ``support_cap`` as the last window
+    reuses it, as far as it has grown and with the images it has already
+    looked up, as the rows of a torsion sweep do, whose conjugates cycle.
+    Any other row frees the old window before building its own, and the
+    last one is freed when the sweep returns.
 
     The iterate is stored as its support, sorted window ids and their
     nonzero values, and T and T* move only the support (:func:`_matvec`).

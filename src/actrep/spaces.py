@@ -24,7 +24,6 @@ from .groups import (
     FreeProductPresentation,
     GroupElement,
     PresentationMismatchError,
-    element_order,
 )
 
 #: Points of the Cayley space are reduced words.
@@ -103,8 +102,9 @@ class CayleySpace:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         inverses = [m.inverse() for m in self._moves]
-        window = CayleyWindow(self.presentation, inverses, [inverses.index(m) for m in self._moves])
-        window.close(radius, self.ball_cap + 1)
+        moves = [inverses.index(m) for m in self._moves]
+        window = CayleyWindow(self.presentation, inverses, moves, radius, self.ball_cap + 1)
+        window.close()
         if window.size > self.ball_cap:
             raise BudgetExceededError(f"ball enumeration exceeded cap of {self.ball_cap} points")
         return window
@@ -260,12 +260,12 @@ class CayleyWindow:
     which always keeps at least one zero column.  Points get consecutive ids
     in the order they join.  ``symbols`` are the group elements the window
     is acted on by, addressed by their position.  The window starts as the
-    identity alone, with id 0, and :meth:`close` grows it until it is full,
-    or :meth:`holding` fills it with given words; from then on the images
-    of a point under the symbols are resolved the first time
-    :meth:`targets` is asked for them.  The symbols are closed
-    under inversion: ``inverse[u]`` is the position of the inverse of symbol
-    ``u``, so no symbol is inverted here.
+    identity alone, with id 0, closed under the symbols up to depth
+    ``max_depth`` and ``cap`` points on demand: :meth:`targets` and
+    :meth:`lookup` grow it only as far as they need, :meth:`close` until it
+    is full; or :meth:`holding` fills it with given words.  The symbols are
+    closed under inversion: ``inverse[u]`` is the position of the inverse of
+    symbol ``u``, so no symbol is inverted here.
 
     Identity is exact.  A word's fingerprint is its polynomial hash
     (:func:`_hash`); the stored points with a query's hash are its
@@ -281,12 +281,7 @@ class CayleyWindow:
     its hashes once: the lookup, the grouping of new words by first
     occurrence, their ids and the merge into the sorted index all read that
     one order.  :meth:`close` costs a fixed amount per block of images, so
-    it keeps the blocks few.  A window
-    acted on by one element x and its inverse, besides the identity, is the
-    line of the powers of x: its levels are found by doubling, t levels
-    from one multiplication of stored powers by x**t and x**-t
-    (:meth:`_close_line`), so such a line costs a logarithmic number of
-    blocks.
+    it keeps the blocks few.
 
     :meth:`_compose` finds a cancellation column by column for its first
     ``_LOOP_COLUMNS`` syllables; longer ones are read off a table of the
@@ -299,6 +294,8 @@ class CayleyWindow:
         presentation: FreeProductPresentation,
         symbols: Sequence[GroupElement],
         inverse: Sequence[int],
+        max_depth: int = 0,
+        cap: int = 1,
     ):
         self.presentation = presentation
         self._rank = presentation.rank
@@ -306,9 +303,9 @@ class CayleyWindow:
         self._sym, self._sym_len = self.encode(presentation, symbols)
         self.inverse = np.asarray(inverse, dtype=np.int64)
         self._sym_inv = self._sym[self.inverse]
-        # the positions of x and x^-1 when they are the only symbols besides the identity
-        line = np.flatnonzero(self._sym_len > 0)
-        self._line = line if len(line) == 2 and self.inverse[line[0]] == line[1] else None
+        self._max_depth, self._cap = max_depth, cap
+        # images are at most min(max_depth, cap) + 1 multiplications from e
+        self._check_reach((min(max_depth, cap) + 1) * self._max_exponent(self._sym))
         self._sorted_inverses = None  # built by _common_prefix on first need
         self._sym_prefix = _prefix_hashes(self._sym)
         self._inv_prefix = _prefix_hashes(self._sym_inv)
@@ -321,6 +318,8 @@ class CayleyWindow:
         self.size = 1
         self._index_fp = self._hx.copy()
         self._index_id = np.zeros(1, dtype=np.int64)
+        self._expanded = 0  # points whose symbol targets growth has stored
+        self._targets = np.empty((0, len(self._sym)), dtype=np.int32)
 
     # -- encoding --------------------------------------------------------
 
@@ -399,24 +398,30 @@ class CayleyWindow:
         window = cls(presentation, symbols, inverse)
         ids = window._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]), len(lens))
         window._check_reach(window._max_exponent(window._sym) + window._max_exponent(rows))
-        window.close(0, window.size)  # at depth 0 the window is full at once
         return window, ids
 
     def lookup(self, points: Sequence[Point]) -> np.ndarray:
-        """The id of each point, or -1 where it is not in the window."""
+        """The id of each point, or -1 where it is not in the window once
+        full; the window grows a level at a time until every point is found
+        or it is full."""
         ids = np.full(len(points), -1, dtype=np.int64)
-        mine = [i for i, x in enumerate(points) if x.presentation == self.presentation]
-        if mine:
-            rows, lens = self.encode(self.presentation, [points[i] for i in mine])
+        mine = np.flatnonzero([x.presentation == self.presentation for x in points])
+        rows, lens = self.encode(self.presentation, [points[i] for i in mine.tolist()])
+        while mine.size:
             ids[mine] = self._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]))
+            miss = ids[mine] < 0
+            if not miss.any() or self._full():
+                break
+            mine, rows, lens = mine[miss], rows[miss], lens[miss]
+            self.close(self._expanded + 1)
         return ids
 
     # -- identity --------------------------------------------------------
 
-    def _intern(self, h: np.ndarray, rows_of, room: int = 0, depth: int | np.ndarray = 0) -> np.ndarray:
+    def _intern(self, h: np.ndarray, rows_of, room: int = 0, depth: int = 0) -> np.ndarray:
         """Ids of the words with hashes ``h``, or -1 where they are not
         stored; with ``room``, absent ones join in first-occurrence order
-        while it lasts, at ``depth``, one for all or one per word.
+        while it lasts, at ``depth``.
 
         ``rows_of(idx)`` returns the rows and lengths of the words ``idx``,
         which may repeat; the lookup asks it for words whose hash is stored, a
@@ -458,16 +463,13 @@ class CayleyWindow:
             items = np.empty(np.count_nonzero(keep), dtype=np.int64)
             items[rank[keep]] = miss[keep]  # the same items, in id order
             fresh, at = self.size + rank[keep], end[missed[keep]]
-            depth = np.broadcast_to(depth, h.shape)[items]
             self._append(*rows_of(items), h[items], depth, self.size + room)
             self._index_fp = _insert(self._index_fp, at, h[miss[keep]])
             self._index_id = _insert(self._index_id, at, fresh)
         return ids
 
-    def _append(
-        self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, depth: np.ndarray, limit: int
-    ) -> None:
-        """Store new points with their hashes ``h`` and depths; the store never
+    def _append(self, rows: np.ndarray, lens: np.ndarray, h: np.ndarray, depth: int, limit: int) -> None:
+        """Store new points with their hashes ``h`` at ``depth``; the store never
         reserves room past ``limit`` points.  Its width grows by at least a
         ``_WIDTH_GROWTH`` share, so a window whose longest word grows at every
         level is copied a logarithmic number of times."""
@@ -538,30 +540,23 @@ class CayleyWindow:
         """The largest absolute syllable exponent in rows of codes."""
         return int(np.abs(rows // self._rank).max(initial=0))
 
-    def _act(
-        self, X: np.ndarray, n: np.ndarray, u: np.ndarray, table: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _act(self, X: np.ndarray, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and lengths of symbol ``u[i, j]`` applied to the word in row ``X[i]``.
 
         ``X`` holds ``B`` rows of length ``n`` and ``u`` has shape (B, U) or
-        (1, U); the result has shape (B, U, width).  ``table`` holds the
-        rows, lengths and inverses' rows of the elements that ``u`` indexes,
-        by default the window's symbols; :meth:`_close_line` passes x**t and
-        x**-t, two stored powers, each the other's inverse.  Left
-        multiplication cancels the longest prefix of the word that matches
-        the symbol's inverse, merges the next two syllables when they share
-        a factor, and shifts the rest of the word behind what is left of the
-        symbol.
+        (1, U); the result has shape (B, U, width).  Left multiplication
+        cancels the longest prefix of the word that matches the symbol's
+        inverse, merges the next two syllables when they share a factor, and
+        shifts the rest of the word behind what is left of the symbol.
         """
-        sym, sym_len, sym_inv = table or (self._sym, self._sym_len, self._sym_inv)
         B, W = X.shape
-        M = sym.shape[1]
-        m = sym_len[u]
+        M = self._sym.shape[1]
+        m = self._sym_len[u]
         c = min(W, M)
         same = np.zeros((B, u.shape[1], c + 1), dtype=bool)  # a last False column ends every run
-        np.equal(X[:, None, :c], sym_inv[u][..., :c], out=same[..., :c])
+        np.equal(X[:, None, :c], self._sym_inv[u][..., :c], out=same[..., :c])
         k = np.minimum(same.argmin(axis=-1), m)  # the leading matches
-        a = sym[u, np.maximum(m - 1 - k, 0)]
+        a = self._sym[u, np.maximum(m - 1 - k, 0)]
         row = np.arange(B)[:, None]
         b = X[row, k]
         R = self._rank
@@ -577,7 +572,7 @@ class CayleyWindow:
         np.minimum(src, (start + W - 1)[..., None], out=src)  # past the word: its zero column
         out = padded.reshape(-1)[src]
         P = int(p.max(initial=0))  # columns that keep syllables of a symbol
-        np.copyto(out[..., :P], sym[u[..., None], col[:P]], where=col[:P] < p[..., None])
+        np.copyto(out[..., :P], self._sym[u[..., None], col[:P]], where=col[:P] < p[..., None])
         i, j = np.nonzero(merge)
         if i.size:
             out[i, j, p[i, j]] = self._merged(a[i, j], b[i, j])
@@ -686,98 +681,62 @@ class CayleyWindow:
         inner = np.minimum(lcp[j, lo], lcp[j, np.maximum(hi - (1 << j), 0)])
         return np.where(span > 0, np.minimum(edge, inner), edge)
 
-    def close(self, max_depth: int, cap: int) -> None:
-        """Grow the window breadth-first until no point can join.
+    def _full(self) -> bool:
+        """Whether no point can join: all expanded, ``cap`` held, or the next at ``max_depth``."""
+        i = self._expanded
+        return i == self.size or self.size >= self._cap or self._depth[i] >= self._max_depth
+
+    def close(self, need: int | None = None) -> None:
+        """Grow the window breadth first, whole levels at a time, until its
+        first ``need`` points are expanded, by default all, or it is full.
 
         Level by level, the images of each point under every symbol are
         taken in row-major (point, symbol) order.  An image not yet in the
         window joins it, one level deeper, while its point's depth is below
-        ``max_depth`` and the window holds fewer than ``cap`` points.
-        Growth stops once every point is expanded, the window holds ``cap``
-        points or the next point to expand sits at depth ``max_depth``: the
-        window is then full, and the symbol targets of the points not yet
-        expanded are left for :meth:`targets` to resolve on demand.
+        ``max_depth`` and the window holds fewer than ``cap`` points.  The
+        window so stays a prefix, in ids, depths and targets, of the full
+        closure, and the symbol targets of the points never expanded are
+        left for :meth:`targets` to resolve once it is full (:meth:`_full`).
 
         Blocks of points of one level are expanded in turn, so no transient
         array exceeds a fixed number of elements, and each block is interned
-        with one sort (:meth:`_intern`).  A window of one element and its
-        inverse, which holds only the identity, closes by doubling instead
-        (:meth:`_close_line`).
-
-        Each multiplication grows a syllable exponent by at most the largest
-        symbol exponent, and every level holds a point, so images are at
-        most ``min(max_depth, cap) + 1`` multiplications from the identity;
-        codes that could leave int64 on the way raise OverflowError up front.
+        with one sort (:meth:`_intern`).
         """
-        self._check_reach((min(max_depth, cap) + 1) * self._max_exponent(self._sym))
         U = len(self._sym)
+        start = hi = self._expanded  # growth starts at the end of a level
+        need = self._cap if need is None else need
         blocks: list[np.ndarray] = []
-        i, hi = 0, 1  # the next point to expand, and the end of its level
-        if self._line is not None and self.size == 1:
-            self._close_line(max_depth, cap)  # and leaves every target unresolved
-        else:
-            while i < self.size and self.size < cap and self._depth[i] < max_depth:
-                if i == hi:
-                    hi = self.size
-                j = min(hi, i + max(1, self._pair_step() // U))
-                rows, lens = self._act(self._words(slice(i, j)), self._len[i:j], np.arange(U)[None, :])
-                rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
-                rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
-                ids = self._intern(_hash(rows), rows_of, cap - self.size, self._depth[i] + 1)
-                blocks.append(ids.reshape(-1, U).astype(np.int32))
-                i = j
-        unresolved = np.full((self.size - i, U), _UNRESOLVED, dtype=np.int32)
-        self._targets = np.concatenate([*blocks, unresolved])
-
-    def _close_line(self, max_depth: int, cap: int) -> None:
-        """:meth:`close` for a window that holds only the identity and whose
-        symbols other than the identity are one element x and its inverse:
-        the window is the line of the powers of x, found by doubling.
-
-        Level t is x**t then x**-t, ids 2t - 1 and 2t, while the powers are
-        distinct: up to level m // 2 for x of finite order m, where x**(m/2)
-        is its own inverse for even m.  Once levels 1 .. t are stored, x**t
-        times each x**j and x**-t times each x**-j, j = 1 .. k, are levels
-        t + 1 .. t + k in breadth-first order, so one :meth:`_act` on stored
-        rows 1 .. 2k, whose symbol table is x**t and x**-t, gives k levels;
-        each pass is interned at once, and the cap and a repeated word on
-        the last level are left to :meth:`_intern`.  Every pass stays within
-        the block's number of elements, so a long line takes several passes
-        of as many levels as fit.
-        """
-        x = self._line[:1]
-        m = element_order(self.decode(self.presentation, self._sym[x], self._sym_len[x])[0])
-        last = min(max_depth, cap // 2, m // 2 if m else max_depth)
-        if last < 1:
-            return
-        rows, lens = self._sym[self._line], self._sym_len[self._line]
-        self._intern(_hash(rows), lambda idx: (rows[idx], lens[idx]), cap - self.size, 1)
-        t = 1
-        while t < last:
-            # 2k rows and a table of the store's width: 2k * 2 * width elements
-            k = min(t, last - t, max(1, _BLOCK_ELEMENTS // (4 * self._width)))
-            S = self._words([2 * t - 1, 2 * t])  # x**t, x**-t
-            rows, lens = self._act(
-                self._words(slice(1, 2 * k + 1)),
-                self._len[1 : 2 * k + 1],
-                np.tile([0, 1], k)[:, None],
-                (S, self._len[[2 * t - 1, 2 * t]], S[::-1]),
-            )
-            depth = np.repeat(np.arange(t + 1, t + k + 1), 2)
-            self._intern(_hash(rows[:, 0]), lambda idx: (rows[idx, 0], lens[idx, 0]), cap - self.size, depth)
-            t += k
+        while self._expanded < max(need, hi) and not self._full():
+            i = self._expanded
+            if i == hi:
+                hi = self.size
+            j = min(hi, i + max(1, self._pair_step() // U))
+            rows, lens = self._act(self._words(slice(i, j)), self._len[i:j], np.arange(U)[None, :])
+            rows, lens = rows.reshape(-1, rows.shape[-1]), lens.reshape(-1)
+            rows_of = lambda idx: (rows[idx], lens[idx])  # noqa: E731
+            ids = self._intern(_hash(rows), rows_of, self._cap - self.size, self._depth[i] + 1)
+            blocks.append(ids.reshape(-1, U).astype(np.int32))
+            self._expanded = j
+        end = self.size if self._full() else self._expanded  # unexpanded rows once full
+        if len(self._targets) < end:
+            unresolved = np.full((end - self._expanded, U), _UNRESOLVED, dtype=np.int32)
+            self._targets = np.concatenate([self._targets[:start], *blocks, unresolved])
 
     def targets(self, ids: np.ndarray) -> np.ndarray:
         """Rows ``ids`` of the int32 symbol targets of the closed window.
 
         Entry ``[k, u]`` is the id of symbol ``u`` applied to point
-        ``ids[k]``, or -1 when that image lies outside the window.  Rows are
-        resolved the first time they are asked for and kept: the window is
-        full, so its points and ids are final and each image is only looked
-        up, giving the same ids as expanding the point during the closure.
-        The lookup composes each image's fingerprint and builds the rows of
-        only the images whose fingerprint is stored.
+        ``ids[k]``, or -1 when that image lies outside the full window.  The
+        window first grows until it has expanded every point ``ids`` or is
+        full (:meth:`close`).  The other rows are resolved the first time
+        they are asked for and kept: the window is full, so its points and
+        ids are final and each image is only looked up, giving the same ids
+        as expanding the point.  The lookup composes each image's
+        fingerprint and builds the rows of only the images whose
+        fingerprint is stored.
         """
+        if len(self._targets) < self.size:
+            self.close(int(ids.max(initial=-1)) + 1)
         rows = self._targets[ids]
         todo = ids[rows[:, 0] == _UNRESOLVED]
         if todo.size:

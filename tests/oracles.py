@@ -170,8 +170,7 @@ def reference_ball(space, center, radius):
 
 def reference_close(window, max_depth, cap):
     """The breadth-first closure of a fresh ``CayleyWindow``, one level at a
-    time and one word at a time, lines included, which
-    ``CayleyWindow.close`` closes by doubling: level by level, every point's
+    time and one word at a time: level by level, every point's
     images under all symbols in row-major (point, symbol) order, each image
     joining one level deeper while its point's depth is below ``max_depth``
     and fewer than ``cap`` points are held.  Images come from
@@ -353,8 +352,8 @@ def dense_matvec(window, terms, v):
 def dense_norm_lower_bound(T, space, budget):
     """``norm_lower_bound`` with the iterate stored as a whole-window vector.
 
-    The same window, start, iteration, pruning and re-certification, with
-    every vector as long as the window: norms run over the nonzero entries,
+    The same window, grown to its limits first, start, iteration, pruning
+    and re-certification, with every vector as long as the window: norms run over the nonzero entries,
     and the prune zeroes the nonzero entries whose squared modulus is below
     the threshold's square, renormalising only when it zeroed one.  The
     witness is re-certified by ``op_apply``.  Returns a NormEstimate.
@@ -362,6 +361,7 @@ def dense_norm_lower_bound(T, space, budget):
     from actrep.operators import NormEstimate, _WitnessWords, _window, op_apply
 
     _, window = _window(T, space, budget)
+    window.close()  # to its limits, so that every vector has its final length
     coefficients = list(T.coefficients.values())
     fwd = [(a, k) for k, a in enumerate(coefficients)]
     bwd = [(a.conjugate(), int(window.inverse[u])) for a, u in fwd]

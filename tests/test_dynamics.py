@@ -350,15 +350,15 @@ def test_panalytic_inconclusive_when_starved():
 
 
 def _record_closes(monkeypatch):
-    """Patch CayleyWindow.close to list every window it closes."""
+    """Patch CayleyWindow.__init__ to list every window built."""
     closed = []
-    close = spaces.CayleyWindow.close
+    init = spaces.CayleyWindow.__init__
 
     def recording(window, *args):
         closed.append(window)
-        return close(window, *args)
+        return init(window, *args)
 
-    monkeypatch.setattr(spaces.CayleyWindow, "close", recording)
+    monkeypatch.setattr(spaces.CayleyWindow, "__init__", recording)
     return closed
 
 
@@ -417,13 +417,13 @@ def test_replaced_window_is_freed_before_the_next_closes(monkeypatch):
     norm_lower_bound(T, space, budget, _last=last)
     old = weakref.ref(last[0][1])
     alive_when_closing = []
-    close = spaces.CayleyWindow.close
+    init = spaces.CayleyWindow.__init__
 
     def watched(window, *args):
         alive_when_closing.append(old() is not None)
-        return close(window, *args)
+        return init(window, *args)
 
-    monkeypatch.setattr(spaces.CayleyWindow, "close", watched)
+    monkeypatch.setattr(spaces.CayleyWindow, "__init__", watched)
     norm_lower_bound(T, space, replace(budget, support_cap=150), _last=last)
     assert alive_when_closing == [False]
     assert old() is None
@@ -433,13 +433,13 @@ def test_no_window_outlives_its_sweep_or_call(monkeypatch):
     # a sweep frees its last window when it returns, and a direct call keeps
     # none, so a space that outlives them pins no window
     alive = []
-    close = spaces.CayleyWindow.close
+    init = spaces.CayleyWindow.__init__
 
     def watched(window, *args):
         alive.append(weakref.ref(window))
-        return close(window, *args)
+        return init(window, *args)
 
-    monkeypatch.setattr(spaces.CayleyWindow, "close", watched)
+    monkeypatch.setattr(spaces.CayleyWindow, "__init__", watched)
     budget = NormBudget(max_iterations=10, support_cap=200)
     space = CayleySpace(Z2Z3)
     T = FormalOperator(Z2Z3, {T23: 0.5, S * T23 * S: 0.5})

@@ -47,8 +47,8 @@ def assert_golden(directory: Path, name: str, out: Path, code: int) -> None:
 
 def test_golden_cases_present():
     assert CASES == [
-        "blowup", "orbits", "orbits_many", "orbits_torsion", "pingpong_degenerate",
-        "pingpong_pass", "trace_S", "trace_noS", "trace_overflow",
+        "blowup", "orbits", "orbits_line", "orbits_many", "orbits_torsion",
+        "pingpong_degenerate", "pingpong_pass", "trace_S", "trace_noS", "trace_overflow",
     ]
 
 

@@ -30,10 +30,11 @@ CRITERION_9_CASES = ("c2_panalytic", "c3_average", "c4_ideal", "c5_panalytic_fal
 def test_golden_estimator_cases_present():
     assert CASES == [
         "average_complex", "average_seeded", "c2_panalytic", "c3_average", "c4_ideal",
-        "c5_panalytic_falsified", "ideal_ab", "norm_free", "torsion_seeded",
+        "c5_panalytic_falsified", "ideal_ab", "norm_free", "panalytic_seeded_line",
+        "torsion_seeded",
     ]
     seeded = sorted(p.stem for p in GOLDEN_ESTIMATOR.glob("*.seed"))
-    assert seeded == ["average_seeded", "torsion_seeded"]
+    assert seeded == ["average_seeded", "panalytic_seeded_line", "torsion_seeded"]
 
 
 @pytest.mark.parametrize("name", [c for c in CASES if c not in CRITERION_9_CASES])

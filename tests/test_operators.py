@@ -362,6 +362,7 @@ def test_window_matches_reference_closure():
     for T, space, budget in _window_cases():
         points, depths, targets = reference_window(T, space, budget)
         union, window = operators._window(T, space, budget)
+        window.close()
         got = window.targets(np.arange(window.size))
         assert union == list(targets)
         assert union[: len(T)] == list(T.coefficients)
@@ -391,6 +392,7 @@ def test_composed_hash_equals_hash_of_built_row():
     merges = {}
     for T, space, budget in _window_cases():
         _, window = operators._window(T, CayleySpace(space.presentation), budget)
+        window.close()
         assert not window._sym_len.all()  # the identity symbol, m = 0
         _, merged = _assert_composed_hashes_match_rows(window)
         merges[space] = merges.get(space, 0) + merged.sum()
@@ -398,6 +400,7 @@ def test_composed_hash_equals_hash_of_built_row():
     # exponents near 2**59, whose merges wrap the hash but not the codes
     T = FormalOperator(F2, {reduce(F2, [(0, 1 << 58)]): 0.5, B: 0.5j})
     _, window = operators._window(T, CayleySpace(F2), NormBudget(max_iterations=2, support_cap=50))
+    window.close()
     assert _assert_composed_hashes_match_rows(window)[1].any()
     # the ideal sweep's J = 17 conjugates, whose inverses share long prefixes,
     # so cancellations past the loop's columns are read off the sorted table
@@ -405,6 +408,7 @@ def test_composed_hash_equals_hash_of_built_row():
     T = FormalOperator(F2, {c: 1.0 / 17 for c in conj})
     budget = NormBudget(max_iterations=25, support_cap=1500)
     _, window = operators._window(T, CayleySpace(F2), budget)
+    window.close()
     cancelled, _ = _assert_composed_hashes_match_rows(window)
     assert np.count_nonzero(cancelled > spaces._LOOP_COLUMNS) > 1000
     # a window of Z/3*Z/4 whose symbols' inverses share a prefix longer than
@@ -419,6 +423,7 @@ def test_composed_hash_equals_hash_of_built_row():
     T = FormalOperator(S34.presentation, {w: 1.0 for w in words})
     budget = NormBudget(max_iterations=4, support_cap=4000)
     _, window = operators._window(T, CayleySpace(S34.presentation), budget)
+    window.close()
     U = len(window._sym)
     ids, u = np.repeat(np.arange(window.size), U), np.tile(np.arange(U), window.size)
     assert len(ids) > spaces._BLOCK_PAIRS and spaces._BLOCK_PAIRS % U
@@ -441,6 +446,7 @@ def test_long_conjugates_window_matches_reference_closure():
     budget = NormBudget(max_iterations=25, support_cap=1500)
     points, depths, targets = reference_window(T, SPACE, budget)
     union, window = operators._window(T, CayleySpace(F2), budget)
+    window.close()
     assert window.points(range(window.size)) == points
     assert window.depth.tolist() == depths
     got = window.targets(np.arange(window.size))
@@ -458,6 +464,8 @@ def test_targets_resolved_on_demand_equal_the_whole_table():
         _, _, reference = reference_window(T, space, budget)
         union, whole = operators._window(T, CayleySpace(space.presentation), budget)
         _, window = operators._window(T, CayleySpace(space.presentation), budget)
+        whole.close()
+        window.close()
         table = np.empty((window.size, len(union)), dtype=np.int32)
         order = rng.permutation(window.size)
         i = 0
@@ -468,6 +476,45 @@ def test_targets_resolved_on_demand_equal_the_whole_table():
         assert np.array_equal(table, whole.targets(np.arange(whole.size)))
         for u, g in enumerate(union):
             assert table[:, u].tolist() == reference[g]
+
+
+@pytest.mark.parametrize("block", [spaces._BLOCK_ELEMENTS, 300])
+def test_window_grown_on_demand_equals_the_eager_closure(monkeypatch, block):
+    # targets asked for in random small chunks grow the window a level at a
+    # time, only as far as those points; grown to its limits afterwards, it
+    # equals a window closed at once, in ids, depths, rows and targets.
+    # Smaller blocks split levels into more blocks
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(29)
+    conj = conjugate_sequence(A * B, A, 17) + conjugate_sequence(A * B, B, 17)
+    ideal = FormalOperator(F2, {c: 1.0 / 17 for c in conj}), SPACE, NormBudget(25, 1500)
+    for T, space, budget in [*_window_cases(), ideal]:
+        _, eager = operators._window(T, CayleySpace(space.presentation), budget)
+        eager.close()
+        want = eager.targets(np.arange(eager.size))
+        _, window = operators._window(T, CayleySpace(space.presentation), budget)
+        while window.size < eager.size:
+            chunk = rng.integers(0, window.size, int(rng.integers(1, 5)))
+            if rng.random() < 0.5:
+                chunk = np.append(chunk, window.size - 1)  # the newest point
+            assert np.array_equal(window.targets(chunk), want[chunk])
+        window.close()
+        assert window.size == eager.size
+        ids = np.arange(window.size)
+        assert np.array_equal(window.depth, eager.depth)
+        for got, expected in zip(window.codes(ids), eager.codes(ids)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(window.targets(ids), want)
+
+
+def test_line_window_grows_only_as_far_as_the_iterate():
+    # free-window's J = 1 rows: the line of the powers of b^-1 a b, whose
+    # iterate holds only e or its image, needs no more than a few points
+    T = FormalOperator(F2, {B.inverse() * A * B: 1.0})
+    last = [None]
+    est = norm_lower_bound(T, CayleySpace(F2), _last=last)
+    assert est.lower_bound == 1.0
+    assert last[0][1].size <= 5
 
 
 def test_full_window_resolves_only_the_rows_the_iterate_reaches():
@@ -497,8 +544,10 @@ def test_support_matvec_matches_scatter_add_over_the_window():
     # since no sum of these random values cancels to 0
     rng = np.random.default_rng(6)
     for T, space, budget in _window_cases():
-        # a fresh window, so that the first matvec resolves its rows itself
+        # a fresh window grown to its limits, so that the first matvec
+        # resolves the rows of the points growth did not expand itself
         union, window = operators._window(T, CayleySpace(space.presentation), budget)
+        window.close()
         everywhere = np.arange(window.size)
         for density in (0.05, 0.3, 1.0):
             v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
@@ -519,6 +568,7 @@ def test_matvec_follows_python_complex_arithmetic():
     # summed per image in term order, whichever kernels numpy dispatches to
     T = FormalOperator(F2, {A: 0.37 + 0.61j, B * A.inverse(): 0.13 - 0.89j, A * B: -0.71 + 0.29j})
     union, window = operators._window(T, SPACE, NormBudget(support_cap=500))
+    window.close()
     everywhere = np.arange(window.size)
     targets = window.targets(everywhere)
     rng = np.random.default_rng(23)
@@ -649,6 +699,7 @@ def test_estimate_independent_of_the_window_beyond_the_iterate():
     for m in (3, 4, 5):
         budget = NormBudget(max_iterations=m, support_cap=10**6, residual_target=0.0)
         _, window = operators._window(T, S23, budget)
+        window.close()
         inner_cap = int(np.count_nonzero(window.depth <= 2 * m))
         assert inner_cap < window.size
         small = norm_lower_bound(T, S23, replace(budget, support_cap=inner_cap))
@@ -753,6 +804,7 @@ def test_line_window_store_widens_geometrically(monkeypatch):
 
     monkeypatch.setattr(CayleyWindow, "_append", spy)
     union, window = operators._window(T, CayleySpace(F2), budget)
+    window.close()
     points, depths, targets = reference_window(T, SPACE, budget)
     assert window.points(range(window.size)) == points
     assert window.depth.tolist() == depths
@@ -775,6 +827,7 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch, mask):
     budget = NormBudget(max_iterations=6, support_cap=40)
     # a fresh space per call, so that no call reuses another's window
     union, window = operators._window(T, CayleySpace(F2), budget)
+    window.close()
     targets = window.targets(np.arange(window.size))
     est = norm_lower_bound(T, CayleySpace(F2), budget)
     hash_rows = spaces._hash
@@ -783,6 +836,7 @@ def test_window_exact_when_all_fingerprints_collide(monkeypatch, mask):
         CayleyWindow, "_compose", lambda self, ids, u: spaces._hash(self._pair_rows(ids, u)[0])
     )
     union2, window2 = operators._window(T, CayleySpace(F2), budget)
+    window2.close()
     targets2 = window2.targets(np.arange(window2.size))
     assert window2.points(range(window2.size)) == window.points(range(window.size))
     assert window2.depth.tolist() == window.depth.tolist()
@@ -820,6 +874,7 @@ def test_window_takes_large_exponents_and_refuses_int64_overflow():
     budget = NormBudget(max_iterations=2, support_cap=50)
     points, _, _ = reference_window(T, SPACE, budget)
     _, window = operators._window(T, SPACE, budget)
+    window.close()
     assert window.points(range(window.size)) == points
     est = norm_lower_bound(T, SPACE, budget)
     assert 0.5 < est.lower_bound <= 1.0  # the exact norm is 1 (two free unitaries)
