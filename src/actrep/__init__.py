@@ -13,7 +13,6 @@ from .groups import (
     PresentationMismatchError,
     conjugate_sequence,
     element_order,
-    first_syllable_in,
     free_group,
     free_product,
     reduce,
@@ -55,7 +54,6 @@ __all__ = [
     "PresentationMismatchError",
     "conjugate_sequence",
     "element_order",
-    "first_syllable_in",
     "free_group",
     "free_product",
     "reduce",

@@ -212,8 +212,8 @@ def load_config_lines(path: str) -> dict[str, str]:
 
 
 #: The keys without a prefix and their defaults; None marks no default.
-_TOP_KEYS = {"presentation.orders": None, "presentation.names": None, "action": "cayley",
-             "experiment": "", "output.path": None}
+_TOP_KEYS = {"presentation.orders": None, "presentation.names": None, "experiment": "",
+             "output.path": None}
 
 #: ``budgets.<name>``: the dataclass whose field it sets, and that field's
 #: default, which types the value (``start_vector`` comes from ``--seed``).
@@ -249,10 +249,6 @@ def build_config(raw: dict[str, str], source: str = "<config>") -> ExperimentCon
         presentation = FreeProductPresentation(orders, names)
     except ValueError as exc:
         raise ConfigError(f"{source}: bad presentation: {exc}") from None
-
-    action = top["action"]
-    if action != "cayley":
-        raise ConfigError(f"{source}: unsupported action {action!r}")
 
     experiment = top["experiment"]
     if experiment and experiment not in EXPERIMENTS:

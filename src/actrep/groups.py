@@ -245,18 +245,6 @@ def conjugate_sequence(g: GroupElement, h: GroupElement, J: int) -> list[GroupEl
     return out
 
 
-def first_syllable_in(x: GroupElement, factor_index: int) -> bool:
-    """True iff ``x`` is nontrivial and starts with a power of the given factor.
-
-    This is the classifier behind the translate decomposition: a word lies in
-    the base piece W_0 exactly when this is False for the chosen factor, and
-    the identity belongs to W_0 vacuously.
-    """
-    if not 0 <= factor_index < x.presentation.rank:
-        raise PresentationMismatchError(f"factor index {factor_index} out of range")
-    return bool(x.syllables) and x.syllables[0][0] == factor_index
-
-
 def element_order(x: GroupElement) -> int:
     """Order of ``x``; 0 means infinite order.
 

@@ -12,7 +12,8 @@ lower bound on the operator norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -38,13 +39,6 @@ class StateVector:
         return math.sqrt(
             math.fsum(c.real * c.real + c.imag * c.imag for c in self.coefficients.values())
         )
-
-    @property
-    def support(self) -> set:
-        return set(self.coefficients)
-
-    def __getitem__(self, x: Point) -> complex:
-        return self.coefficients.get(x, 0j)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -78,10 +72,6 @@ class FormalOperator:
         self.coefficients = {g: complex(c) for g, c in coefficients.items() if c != 0}
 
     @classmethod
-    def unit(cls, presentation: FreeProductPresentation) -> "FormalOperator":
-        return cls(presentation, {presentation.identity(): 1.0})
-
-    @classmethod
     def from_terms(
         cls,
         presentation: FreeProductPresentation,
@@ -95,10 +85,6 @@ class FormalOperator:
     @property
     def identity_coefficient(self) -> complex:
         return self.coefficients.get(self.presentation.identity(), 0j)
-
-    @property
-    def support(self) -> set:
-        return set(self.coefficients)
 
     def __getitem__(self, g: GroupElement) -> complex:
         return self.coefficients.get(g, 0j)
@@ -210,21 +196,6 @@ class NormBudget:
     start_vector: "StateVector | None" = None
 
 
-class _WitnessWords:
-    """A witness cut from its window: the rows of syllable codes of its
-    points (:meth:`CayleyWindow.codes`), their lengths and its values.
-    It keeps no reference to the window."""
-
-    __slots__ = ("space", "rows", "lens", "values")
-
-    def __init__(self, space: CayleySpace, rows: np.ndarray, lens: np.ndarray, values: np.ndarray):
-        self.space, self.rows, self.lens, self.values = space, rows, lens, values
-
-    def decode(self) -> StateVector:
-        points = CayleyWindow.decode(self.space.presentation, self.rows, self.lens)
-        return StateVector(self.space, dict(zip(points, self.values.tolist())))
-
-
 @dataclass
 class NormEstimate:
     """A certified lower bound on an operator norm, with diagnostics.
@@ -237,10 +208,13 @@ class NormEstimate:
     to the norm, since the iteration runs on a truncated window.  Hitting
     the support cap without stagnating leaves it False.
 
-    The estimator stores the witness as the window rows of its points, and
-    its group elements are built the first time ``witness`` is read; the
-    same vector is returned from then on.  ``support_size`` is its number
-    of points.
+    The estimator stores the witness as ``_words``, ``(space, rows, lens,
+    values)``: the rows of syllable codes of its points
+    (:meth:`CayleyWindow.codes`), their lengths and its values, which keep
+    no reference to the window.  Its group elements are built the first
+    time ``witness`` is read; the same vector is returned from then on.
+    ``support_size`` is its number of points.  Equality compares the
+    diagnostics, not the witness.
     """
 
     lower_bound: float
@@ -249,19 +223,15 @@ class NormEstimate:
     support_size: int
     radius_hint: int
     converged: bool
-    _witness: StateVector | _WitnessWords | None = field(default=None, repr=False, compare=False)
+    _words: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def witness(self) -> StateVector | None:
-        if isinstance(self._witness, _WitnessWords):
-            self._witness = self._witness.decode()
-        return self._witness
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NormEstimate):
-            return NotImplemented
-        same = all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare)
-        return same and self.witness == other.witness
+        if self._words is None:
+            return None
+        space, rows, lens, values = self._words
+        points = CayleyWindow.decode(space.presentation, rows, lens)
+        return StateVector(space, dict(zip(points, values.tolist())))
 
 
 def _norm(values: np.ndarray) -> np.float64:
@@ -499,5 +469,5 @@ def norm_lower_bound(
         support_size=len(ids),
         radius_hint=int(window.depth[ids].max(initial=0)),
         converged=converged,
-        _witness=_WitnessWords(space, *window.codes(ids), v),
+        _words=(space, *window.codes(ids), v),
     )

@@ -354,10 +354,6 @@ class CayleyWindow:
         """Breadth-first depth of every point."""
         return self._depth[: self.size]
 
-    def points(self, ids: Sequence[int]) -> list[GroupElement]:
-        """The group elements with the given ids."""
-        return self.decode(self.presentation, *self.codes(ids))
-
     def codes(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the rows of syllable codes of the points with the given
         ids, cut to the longest of their words, and the words' lengths."""

@@ -29,7 +29,13 @@ def convolve(x: dict, y: dict) -> dict:
 
 def inner(v, w) -> complex:
     """The l2 inner product <v, w> of two state vectors, linear in v."""
-    return sum(c * w[x].conjugate() for x, c in v.coefficients.items())
+    return sum(c * w.coefficients.get(x, 0j).conjugate() for x, c in v.coefficients.items())
+
+
+def in_w0(x: GroupElement, factor_index: int) -> bool:
+    """True iff ``x`` lies in the base piece W_0: it does not start with a
+    power of the given factor (the identity does not)."""
+    return not x.syllables or x.syllables[0][0] != factor_index
 
 
 def star(x: dict) -> dict:
@@ -223,13 +229,12 @@ def reference_Wj_collisions(h, g, J, L):
     v^-1 g^(j-k) u is a nontrivial pair word whose image is the identity.
     """
     from actrep.dynamics import _abstract_pair
-    from actrep.groups import first_syllable_in
     from actrep.spaces import CayleySpace
 
     space = CayleySpace(h.presentation)
     abstract = _abstract_pair(h, g)
     words = reference_ball(CayleySpace(abstract), abstract.identity(), L)
-    w0 = [w for w in words if not first_syllable_in(w, 1)]
+    w0 = [w for w in words if in_w0(w, 1)]
     gbar = abstract.generator(1)
     seen: dict = {}
     out = []
@@ -358,7 +363,8 @@ def dense_norm_lower_bound(T, space, budget):
     the threshold's square, renormalising only when it zeroed one.  The
     witness is re-certified by ``op_apply``.  Returns a NormEstimate.
     """
-    from actrep.operators import NormEstimate, _WitnessWords, _window, op_apply
+    from actrep.operators import NormEstimate, StateVector, _window, op_apply
+    from actrep.spaces import CayleyWindow
 
     _, window = _window(T, space, budget)
     window.close()  # to its limits, so that every vector has its final length
@@ -404,8 +410,8 @@ def dense_norm_lower_bound(T, space, budget):
                 v /= nv
 
     nz = np.nonzero(v)[0]
-    witness = _WitnessWords(space, *window.codes(nz), v[nz])
-    vec = witness.decode()
+    rows, lens = window.codes(nz)
+    vec = StateVector(space, dict(zip(CayleyWindow.decode(space.presentation, rows, lens), v[nz].tolist())))
     wn = vec.norm()
     lower = op_apply(T, vec).norm() / wn if wn > 0 else 0.0
     return NormEstimate(
@@ -415,5 +421,5 @@ def dense_norm_lower_bound(T, space, budget):
         support_size=len(nz),
         radius_hint=int(window.depth[nz].max(initial=0)),
         converged=converged,
-        _witness=witness,
+        _words=(space, rows, lens, v[nz]),
     )

@@ -129,6 +129,15 @@ def test_repeated_key_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_action_key_is_unknown(tmp_path, capsys):
+    # the Cayley graph is the one space, so no key selects it
+    cfg = write_config(tmp_path, "presentation.orders = inf, inf\naction = cayley\noperator.T = 1*a\n")
+    out = tmp_path / "norm.csv"
+    assert main(["norm", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: unknown key 'action'\n"
+    assert not out.exists()
+
+
 def test_build_config_rejects_unknown_key(tmp_path):
     for line, message in [
         ("mystery = 1", "unknown key 'mystery'"),

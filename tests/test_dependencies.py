@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency outside the standard library."""
+"""numpy is the package's only runtime dependency outside the standard
+library, and the package exports what ``__all__`` names."""
 
 import ast
 import sys
@@ -30,3 +31,10 @@ def test_package_imports_only_stdlib_and_numpy():
     files = sorted(PACKAGE.glob("*.py"))
     assert files
     assert [bad for path in files for bad in foreign_imports(path)] == []
+
+
+def test_every_export_resolves_once():
+    import actrep
+
+    assert len(actrep.__all__) == len(set(actrep.__all__))
+    assert [name for name in actrep.__all__ if not hasattr(actrep, name)] == []

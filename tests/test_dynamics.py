@@ -105,7 +105,7 @@ def test_build_ta_periodic_collapse():
     for N in (1, 4, 9, 16):
         a = CoefficientSequence({1 + 2 * k: 1.0 / math.sqrt(N) for k in range(N)})
         T = build_Ta(T23, S, a)
-        assert T.support == {S * T23 * S}
+        assert set(T.coefficients) == {S * T23 * S}
         assert abs(T[S * T23 * S] - math.sqrt(N)) <= 1e-12
 
 
@@ -180,7 +180,7 @@ def test_trace_invariant_under_symbolic_conjugation():
 
 
 def test_canonical_trace_examples():
-    assert canonical_trace(FormalOperator.unit(F2)) == 1.0
+    assert canonical_trace(FormalOperator(F2, {E: 1.0})) == 1.0
     assert canonical_trace(FormalOperator(F2, {E: 3.0, A: 5.0})) == 3.0
     assert canonical_trace(FormalOperator(F2, {A: 1.0})) == 0j
 
@@ -272,7 +272,7 @@ def test_blowup_matches_build_ta():
         a = CoefficientSequence({1 + 2 * k: 1.0 / math.sqrt(N) for k in range(N)})
         via_ta = build_Ta(T23, S, a)
         direct = finite_order_blowup(T23, S, N)
-        assert via_ta.support == direct.operator.support
+        assert set(via_ta.coefficients) == set(direct.operator.coefficients)
         sym = direct.collapsed_symbol
         assert abs(via_ta[sym] - direct.operator[sym]) <= 1e-12
 

@@ -312,7 +312,7 @@ def _assert_closes_as_reference(symbols, max_depth, cap):
     assert [tuple(r[:n]) for r, n in zip(rows.tolist(), lens.tolist())] == words
     assert window.depth.tolist() == depth
     assert np.array_equal(window.targets(np.arange(window.size)), targets)
-    points = window.points(range(window.size))
+    points = CayleyWindow.decode(symbols[0], rows, lens)
     assert CayleyWindow.decode(symbols[0], *window.inverse_codes()) == [x.inverse() for x in points]
 
 
