@@ -219,7 +219,6 @@ class EnvelopeReport:
     """
 
     rows: list[EnvelopeRow]
-    slack: float
     verdict: str
     identity_coefficient: complex | None = None
     off_identity_l1: float | None = None
@@ -235,7 +234,6 @@ def envelope_sweep(
     operator_for_J: Callable[[int], FormalOperator],
     envelope_for_J: Callable[[int], float],
     budget: NormBudget | None,
-    space: CayleySpace,
     slack: float = DEFAULT_SLACK,
     *,
     identity_falsifies: bool = False,
@@ -249,17 +247,20 @@ def envelope_sweep(
     ``require_convergence`` is set and the estimate failed to stabilize,
     which makes it INCONCLUSIVE.
 
-    The sweep owns the estimator's last window: it hands one holder to
-    every :func:`norm_lower_bound` call, so a row whose symbols and budget
-    limits match the previous window's reuses it instead of growing it
-    again, and the window is freed when the sweep returns.
+    The sweep estimates every row on one :class:`CayleySpace`, of the first
+    row's presentation, and owns the estimator's last window: it hands one
+    holder to every :func:`norm_lower_bound` call, so a row whose symbols
+    and budget limits match the previous window's reuses it instead of
+    growing it again, and the window is freed when the sweep returns.
     """
     if not slack >= 0:  # a negative slack falsifies rows under their envelope; NaN, none
         raise ValueError(f"slack must be >= 0, got {slack}")
     rows: list[EnvelopeRow] = []
     last: list = [None]  # the last (key, window) built, see operators._window
+    space = None
     for J in J_values:
         T = operator_for_J(J)
+        space = space or CayleySpace(T.presentation)
         est = norm_lower_bound(T, space, budget, _last=last)
         bound = envelope_for_J(J)
         falsified = est.lower_bound > bound + slack
@@ -271,7 +272,7 @@ def envelope_sweep(
             verdict = INCONCLUSIVE
         rows.append(EnvelopeRow(J, T, est, bound, falsified, verdict))
     worst = max((r.verdict for r in rows), key=_SEVERITY.index, default=PASS)
-    return EnvelopeReport(rows, slack, worst)
+    return EnvelopeReport(rows, worst)
 
 
 def verify_panalytic(
@@ -301,7 +302,6 @@ def verify_panalytic(
         lambda J: build_Ta(h, g, CoefficientSequence.uniform(J)),
         lambda J: C / math.sqrt(J),
         budget,
-        CayleySpace(h.presentation),
         slack,
     )
 
@@ -328,7 +328,6 @@ def _averaging_sweep(
         lambda J: average_MJ(T, g, J) - unit_e,
         lambda J: (C / math.sqrt(J)) * sum_f,
         budget,
-        CayleySpace(pres),
         slack,
         **rules,
     )
@@ -417,46 +416,11 @@ _PairBall = tuple[FreeProductPresentation, np.ndarray, np.ndarray, np.ndarray, n
 
 
 def _pair_ball(h: GroupElement, g: GroupElement, L: int) -> _PairBall:
-    """The words of <h> * <g> of length <= L, breadth first, and their images.
-
-    The words are the rows of :meth:`CayleySpace.ball_codes`, and the images
-    rows of syllable codes of h's presentation; nothing is decoded.  The
-    ball's window holds the words' inverses (:meth:`CayleySpace._ball_window`):
-    each point y = w^-1 one level below another, x, is y = s x for one of
-    the window's symbols s, the inverse moves, so y's image is s's image
-    times x's, a left action (:meth:`CayleyWindow._act`).  The images are
-    computed so a level at a time, from the symbol targets of the points
-    above the last level, and inverted once at the end.
-    """
+    """The words of <h> * <g> of length <= L, breadth first, and their
+    images in h's presentation, as rows of syllable codes
+    (:meth:`CayleySpace.ball_images`); nothing is decoded."""
     abstract = _abstract_pair(h, g)
-    ball = CayleySpace(abstract, ball_cap=_WORD_CAP)._ball_window(L)
-    words, lens = ball.inverse_codes()
-    symbols = CayleyWindow.decode(abstract, ball._sym, ball._sym_len)  # one syllable each
-    acting = CayleyWindow(
-        h.presentation, [(h, g)[f] ** e for ((f, e),) in (s.syllables for s in symbols)], ball.inverse
-    )
-    depth = ball.depth
-    inner = int(np.searchsorted(depth, L))  # the points above the last level
-    targets = ball.targets(np.arange(inner)).astype(np.int64)
-    U = targets.shape[1]
-    y = targets.reshape(-1)
-    down = np.flatnonzero((y >= 0) & (depth[y] == np.repeat(depth[:inner], U) + 1))
-    pair = down[np.unique(y[down], return_index=True)[1]]  # the first pair into each point
-    parent, symbol = pair // U, pair % U  # of points 1, 2, ..., in id order
-    rows = np.zeros((len(depth), 1), dtype=np.int64)
-    n = np.zeros(len(depth), dtype=np.int64)
-    starts = np.searchsorted(depth, np.arange(L + 2))
-    for a, b in zip(starts[1:-1].tolist(), starts[2:].tolist()):
-        step = acting._pair_step(rows.shape[1])
-        for i in range(a, b, step):
-            j = min(b, i + step)
-            x = parent[i - 1 : j - 1]
-            out, m = acting._act(rows[x], n[x], symbol[i - 1 : j - 1, None])
-            if out.shape[-1] > rows.shape[1]:  # widen geometrically, as the window's store does
-                rows = np.pad(rows, ((0, 0), (0, max(out.shape[-1], 2 * rows.shape[1]) - rows.shape[1])))
-            rows[i:j, : out.shape[-1]] = out[:, 0]
-            n[i:j] = m[:, 0]
-    return abstract, words, lens, *acting._inverted(rows, n)
+    return abstract, *CayleySpace(abstract, ball_cap=_WORD_CAP).ball_images(L, (h, g))
 
 
 @dataclass
@@ -487,7 +451,7 @@ def check_Wj_disjoint(
     The action is a homomorphism, so the point of g^j u is g^j times u's
     image.  The images are held in a window acted on by g^-J .. g^J, and
     the points of all (j, u), j-major, are labelled equal exactly when they
-    are equal (``CayleyWindow._label``).  A (j, u) collides when the first
+    are equal (:meth:`CayleyWindow.label`).  A (j, u) collides when the first
     (k, v) with its label has k != j; ``collisions`` counts them, and
     nothing is decoded.  ``tests/oracles.py::reference_Wj_collisions``
     lists the same collisions with their witnesses.
@@ -500,7 +464,7 @@ def check_Wj_disjoint(
     powers = [g ** j for j in range(-J, J + 1)]
     window, ids = CayleyWindow.holding(pres, powers, range(2 * J, -1, -1), images[w0], image_lens[w0])
     # item (j + J) * n + i is the point of g^j times word i
-    label = window._label(np.repeat(np.arange(2 * J + 1), n), np.tile(ids, 2 * J + 1))
+    label = window.label(np.repeat(np.arange(2 * J + 1), n), np.tile(ids, 2 * J + 1))
     first = np.unique(label, return_index=True)[1][label]  # the first item with each label
     collisions = int(np.count_nonzero(first // n != np.arange(len(label)) // n))
     return WjDisjointReport(words_tested=n, collisions=collisions, disjoint=not collisions)

@@ -274,19 +274,6 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: lis
     return list(union), last[0][1]
 
 
-def _matvec(
-    window: CayleyWindow, terms: tuple[np.ndarray, np.ndarray], ids: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum a pi(g) v on the window, for ``terms``: the coefficients a and the
-    window columns of the g, in T's order; v is stored as its support, the
-    window ``ids`` and their ``values``.  Returns the result the same way
-    (:func:`_scatter`), with images outside the window and images whose sum
-    cancels to exactly 0 dropped.
-    """
-    coefficients, columns = terms
-    return _scatter(coefficients, window.targets(ids)[:, columns].T, values)
-
-
 def _scatter(a: np.ndarray, dst: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the products ``a[k] * values[j]`` at images ``dst[k, j]``, -1
     dropping one: the sorted images reached whose sum is not exactly 0, and
@@ -318,39 +305,40 @@ def norm_lower_bound(
 ) -> NormEstimate:
     """Certified lower bound on ||sum a_g pi(g)|| via compressed power iteration.
 
-    The orbit of the base point (the identity) under the symbols of T and T*,
-    enumerated breadth-first up to the support cap, is a finite window, and
-    v <- T* T v is iterated on it from the Dirac vector at the base point,
-    or from ``budget.start_vector``, pruning entries of modulus below the
-    threshold.  The reported bound applies T to the final vector with no
-    truncation, so it is attained and sound regardless of how aggressively
-    the iteration itself was capped or pruned.
+    The iteration v <- T* T v runs on a finite window of the space: the
+    orbit of the base point (the identity) under the symbols of T and their
+    inverses, grown breadth first on demand up to depth ``2 *
+    max_iterations + 1`` and ``budget.support_cap`` points (:func:`_window`,
+    :class:`CayleyWindow`).  It starts from the Dirac vector at the base
+    point, or from ``budget.start_vector``, whose entries outside the full
+    window are dropped and which is first scaled by a power of two, which is
+    exact; a start with no entry in the window raises ValueError.  Group
+    elements are built only for that lookup.
 
-    The window is an integer-indexed :class:`CayleyWindow`: points
-    are rows of syllable codes with consecutive ids, identity is decided
-    exactly (a match of the words' polynomial hashes counts only when the
-    rows are equal), and whole blocks of points are multiplied by the
-    symbols at once while the window grows.  Once it is full, an image's
-    hash is composed from its symbol's prefix and its point's suffix, and a
-    row is built only when that hash is stored.  It grows level by level in
-    the same breadth-first order as a point-by-point loop: new points in
-    first-occurrence order of the (point, symbol) scan, up to depth
-    ``2 * max_iterations + 1``, truncated at ``support_cap``, and only as
-    far as the iterate, the re-certification and the ``start_vector``
-    lookup reach, so its ids are those of the full closure.  Once it is
-    full, a point's images under the symbols are looked up the first time
-    the iteration or the re-certification reaches it, which spares the
-    window points the iteration never touches.  Group elements are built
-    only for the ``start_vector`` lookup: the estimate keeps the witness as
-    a copy of its window rows, and its group elements are built the first
-    time ``witness`` is read.  Each symbol of T is
-    inverted once, and T's term k acts through the window's symbol k.  The
-    bound ||T w|| / ||w|| is computed on window ids, with the images outside
-    the window resolved exactly, by :func:`_scatter` too, and equals
+    After each step the prune drops the entries whose squared modulus is
+    below ``prune_threshold**2`` (:class:`NormBudget`), a test on products
+    of real parts that does not depend on how numpy's complex ``abs``
+    rounds, and the iterate is renormalised only when a nonzero entry was
+    dropped.  The iteration stops after ``max_iterations`` steps, when the
+    iterate vanishes, or when the Rayleigh values ||T v|| of successive
+    unit iterates change by less than ``budget.residual_target``.  Only the
+    last sets ``converged``; it does not say that the estimate is close to
+    the norm.  That target is absolute, so how many iterations run depends
+    on the operator's scale: with the default budget, ``2**-20 * (a + b)``
+    on F2 stops after 2 iterations at 0.913 of the exact norm, where
+    ``a + b`` runs 29 and reaches 0.988.
+
+    The reported bound is ||T w|| / ||w|| for the final iterate w, with T
+    applied to w with no truncation, its images outside the window resolved
+    exactly (:meth:`CayleyWindow.images`), so it is attained and sound
+    however the iteration was capped or pruned.  It equals
     ``op_apply(T, witness).norm() / witness.norm()`` bit for bit; the tests
-    use :func:`op_apply` as its oracle.  Norms in the iteration are summed
-    by numpy rather than BLAS, so the result does not depend on the BLAS
-    thread count.
+    use :func:`op_apply` as its oracle.  The iterate is stored as its
+    support, and T and T* move only the support (:func:`_scatter`,
+    :func:`_norm`); every value equals, bit for bit, that of the same loop
+    run on vectors as long as the window, whose norms and prune skip the
+    zero entries (``tests/oracles.py``).  The estimate keeps the witness as
+    a copy of its window rows (:class:`NormEstimate`).
 
     A call builds a fresh window and keeps none, unless the caller passes
     ``_last``, a one-item list that holds the last window built through it
@@ -363,32 +351,11 @@ def norm_lower_bound(
     Any other row frees the old window before building its own, and the
     last one is freed when the sweep returns.
 
-    The iterate is stored as its support, sorted window ids and their
-    nonzero values, and T and T* move only the support (:func:`_matvec`).
-    Norms sum the support's squares in id order (:func:`_norm`), whatever
-    the window's length.  After each step the prune drops the entries whose
-    squared modulus is below ``prune_threshold**2``, a test on products
-    formed from real parts, so it does not depend on how numpy's complex
-    ``abs`` rounds, and the iterate is renormalised only when a nonzero
-    entry was dropped.  Each product is formed from real parts, as Python's complex type forms
-    it, and each image sums its products from +0.0 in T's term order
-    (:func:`_scatter`), so no value depends on numpy's SIMD kernels.  Every
-    value equals, bit for bit, that of the same loop run on vectors as long
-    as the window, whose norms and prune skip the zero entries
-    (``tests/oracles.py``).
-
-    ``converged`` means only that the Rayleigh values stagnated below
-    ``budget.residual_target``, not that the estimate is close to the norm.
-    That target is absolute, so how many iterations run depends on the
-    operator's scale: with the default budget, ``2**-20 * (a + b)`` on F2
-    stops after 2 iterations at 0.913 of the exact norm, where ``a + b``
-    runs 29 and reaches 0.988.
     Nonzero operators with ``sum |a_g|`` above ``2**250`` or below
     ``2**-250`` raise ValueError: for a unit v the squares of the entries of
     T* T v scale as (sum |a_g|)^4, which the limits keep within ``2**±1000``,
     inside float64's normal range from ``2**-1022`` to ``2**1024``; below
-    it they round to 0 and the iteration stops far under the norm.  A
-    ``start_vector`` is first scaled by a power of two, which is exact.
+    it they round to 0 and the iteration stops far under the norm.
     """
     budget = budget or NormBudget()
     if budget.max_iterations < 1:
@@ -405,8 +372,6 @@ def norm_lower_bound(
 
     _, window = _window(T, space, budget, _last)
     a = np.array(list(T.coefficients.values()), dtype=np.complex128)
-    fwd = a, np.arange(len(a))
-    bwd = a.conj(), window.inverse[: len(a)]
 
     if budget.start_vector is not None:
         start = list(budget.start_vector.coefficients.items())
@@ -432,14 +397,14 @@ def norm_lower_bound(
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
-        w_ids, w = _matvec(window, fwd, ids, v)
+        w_ids, w = _scatter(a, window.targets(ids)[:, : len(a)].T, v)
         prev, ray = ray, float(_norm(w) / _norm(v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
-        u_ids, u = _matvec(window, bwd, w_ids, w)
+        u_ids, u = _scatter(a.conj(), window.targets(w_ids)[:, window.inverse[: len(a)]].T, w)
         nu = _norm(u)
         if nu == 0.0:
             break

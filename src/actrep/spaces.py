@@ -92,6 +92,45 @@ class CayleySpace:
         """
         return self._ball_window(radius).inverse_codes()
 
+    def ball_images(self, radius: int, images: Sequence[GroupElement]) -> tuple[np.ndarray, ...]:
+        """The rows and lengths of :meth:`ball_codes`, and the rows and lengths
+        of the words' images under the homomorphism that sends generator i to
+        ``images[i]``, in the images' presentation.
+
+        The ball's window holds the words' inverses (:meth:`_ball_window`):
+        each point y = w^-1 one level below another, x, is y = s x for one of
+        the window's symbols s, the inverse moves, so y's image is s's image
+        times x's, a left action (:meth:`CayleyWindow._act`).  The images are
+        computed so a level at a time, from the symbol targets of the points
+        above the last level, and inverted once at the end.
+        """
+        ball = self._ball_window(radius)
+        words, lens = ball.inverse_codes()
+        symbols = [images[f] ** e for ((f, e),) in (m.inverse().syllables for m in self._moves)]
+        acting = CayleyWindow(images[0].presentation, symbols, ball.inverse)
+        depth = ball.depth
+        inner = int(np.searchsorted(depth, radius))  # the points above the last level
+        targets = ball.targets(np.arange(inner)).astype(np.int64)
+        U = targets.shape[1]
+        y = targets.reshape(-1)
+        down = np.flatnonzero((y >= 0) & (depth[y] == np.repeat(depth[:inner], U) + 1))
+        pair = down[np.unique(y[down], return_index=True)[1]]  # the first pair into each point
+        parent, symbol = pair // U, pair % U  # of points 1, 2, ..., in id order
+        rows = np.zeros((len(depth), 1), dtype=np.int64)
+        n = np.zeros(len(depth), dtype=np.int64)
+        starts = np.searchsorted(depth, np.arange(radius + 2))
+        for a, b in zip(starts[1:-1].tolist(), starts[2:].tolist()):
+            step = acting._pair_step(rows.shape[1])
+            for i in range(a, b, step):
+                j = min(b, i + step)
+                x = parent[i - 1 : j - 1]
+                out, m = acting._act(rows[x], n[x], symbol[i - 1 : j - 1, None])
+                if out.shape[-1] > rows.shape[1]:  # widen geometrically, as the window's store does
+                    rows = np.pad(rows, ((0, 0), (0, max(out.shape[-1], 2 * rows.shape[1]) - rows.shape[1])))
+                rows[i:j, : out.shape[-1]] = out[:, 0]
+                n[i:j] = m[:, 0]
+        return words, lens, *acting._inverted(rows, n)
+
     def _ball_window(self, radius: int) -> "CayleyWindow":
         """The closed window of the inverses of the words of the radius ball.
 
@@ -758,10 +797,10 @@ class CayleyWindow:
         outside = out < 0
         if outside.any():
             pairs = np.broadcast_to(u[:, None], out.shape)[outside], np.broadcast_to(ids, out.shape)[outside]
-            out[outside] = self.size + self._label(*pairs)
+            out[outside] = self.size + self.label(*pairs)
         return out
 
-    def _label(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    def label(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Labels 0, 1, ... of the images of symbol ``u[i]`` applied to point
         ``ids[i]``, equal exactly when the images are equal.  Fingerprints are
         composed a block of pairs at a time; rows are built only for images

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency outside the standard
-library, and the package exports what ``__all__`` names."""
+library, the package exports what ``__all__`` names, and only ``spaces.py``
+reads the private members of its window and space classes."""
 
 import ast
 import sys
@@ -38,3 +39,31 @@ def test_every_export_resolves_once():
 
     assert len(actrep.__all__) == len(set(actrep.__all__))
     assert [name for name in actrep.__all__ if not hasattr(actrep, name)] == []
+
+
+def private_members(path: Path, classes: set[str]) -> set[str]:
+    """The underscore names, dunders aside, that the given classes in
+    ``path`` define: their methods and the attributes they assign on ``self``."""
+    names = set()
+    for cls in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(cls, ast.ClassDef) and cls.name in classes:
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if isinstance(node.value, ast.Name) and node.value.id == "self":
+                        names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_only_spaces_reads_window_and_space_internals():
+    private = private_members(PACKAGE / "spaces.py", {"CayleyWindow", "CayleySpace"})
+    assert {"_sym", "_act", "_pair_step", "_inverted", "_ball_window", "_moves"} <= private
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in (PACKAGE / name for name in ("dynamics.py", "operators.py", "cli.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []

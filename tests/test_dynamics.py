@@ -16,6 +16,7 @@ from actrep.groups import (
 )
 from actrep.operators import FormalOperator, NormBudget, StateVector, norm_lower_bound, op_apply
 from actrep.dynamics import (
+    DEFAULT_SLACK,
     FALSIFIED,
     INCONCLUSIVE,
     PASS,
@@ -326,7 +327,7 @@ def test_panalytic_finite_order_falsified():
     # the averages collapse onto span{t, sts}: estimates stall near a
     # constant while the bound decays to zero
     for row in bad:
-        assert row.estimate.lower_bound > row.bound + rep.slack
+        assert row.estimate.lower_bound > row.bound + DEFAULT_SLACK
         w = row.estimate.witness
         T = build_Ta(T23, S, CoefficientSequence.uniform(row.J))
         assert abs(op_apply(T, w).norm() / w.norm() - row.estimate.lower_bound) <= 1e-9
@@ -443,7 +444,7 @@ def test_no_window_outlives_its_sweep_or_call(monkeypatch):
     budget = NormBudget(max_iterations=10, support_cap=200)
     space = CayleySpace(Z2Z3)
     T = FormalOperator(Z2Z3, {T23: 0.5, S * T23 * S: 0.5})
-    rep = envelope_sweep([1, 2, 3], lambda J: T, lambda J: 1.0, budget, space)
+    rep = envelope_sweep([1, 2, 3], lambda J: T, lambda J: 1.0, budget)
     assert len(alive) == 1 and len(rep.rows) == 3
     est = norm_lower_bound(T, space, budget)
     assert len(alive) == 2 and est.support_size > 0

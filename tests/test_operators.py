@@ -24,6 +24,7 @@ from actrep import operators, spaces
 from actrep.spaces import CayleySpace, CayleyWindow
 
 from oracles import (
+    compression_matrix,
     dense_compression_norm,
     dense_norm,
     dense_norm_lower_bound,
@@ -31,6 +32,7 @@ from oracles import (
     inner,
     reference_window,
     scatter_matvec,
+    top_eigenvalue,
 )
 
 F2 = free_group(2)
@@ -245,6 +247,15 @@ def test_norm_lower_bound_uniform_averages_vs_oracle():
         assert est.lower_bound <= true + 1e-9
         assert est.lower_bound >= 0.85 * true
         assert est.converged
+
+
+def test_compression_oracle_matches_the_dense_eigensolver():
+    # the oracle's sparse top eigenvalue is that of the dense matrix, on the
+    # J = 2 uniform average's compression
+    T = FormalOperator(F2, {c: 0.5 for c in conjugate_sequence(B, A, 2)})
+    mat = compression_matrix(dict(T.coefficients), E, depth=5)
+    assert mat.shape == (485, 485)
+    assert abs(top_eigenvalue(mat) - np.linalg.eigvalsh(mat.toarray())[-1]) <= 1e-12
 
 
 def test_norm_lower_bound_soundness_and_witness():
@@ -531,7 +542,8 @@ def test_full_window_resolves_only_the_rows_the_iterate_reaches():
 
 
 def _terms(T, union):
-    """The forward and backward terms of T for ``operators._matvec``."""
+    """The forward and backward terms of T, coefficients and window columns,
+    as the estimator's matvecs pass them to ``operators._scatter``."""
     slot = {g: u for u, g in enumerate(union)}
     a = np.array(list(T.coefficients.values()))
     fwd = a, np.array([slot[g] for g in T.coefficients])
@@ -555,7 +567,7 @@ def test_support_matvec_matches_scatter_add_over_the_window():
             v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
             v[rng.random(window.size) >= density] = 0.0
             for a, columns in _terms(T, union):
-                ids, w = operators._matvec(window, (a, columns), everywhere, v)
+                ids, w = operators._scatter(a, window.targets(everywhere)[:, columns].T, v)
                 got = np.zeros(window.size, dtype=np.complex128)
                 got[ids] = w
                 want = scatter_matvec(window.targets(everywhere), zip(a.tolist(), columns), v)
@@ -576,7 +588,7 @@ def test_matvec_follows_python_complex_arithmetic():
     rng = np.random.default_rng(23)
     v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
     for a, columns in _terms(T, union):
-        ids, w = operators._matvec(window, (a, columns), everywhere, v)
+        ids, w = operators._scatter(a, window.targets(everywhere)[:, columns].T, v)
         want: dict[int, complex] = {}
         for c, u in zip(a.tolist(), columns.tolist()):
             for y, x in zip(targets[:, u].tolist(), v.tolist()):
@@ -639,7 +651,8 @@ def test_norm_lower_bound_matches_the_dense_loop_when_an_entry_cancels():
                         start_vector=StateVector(SPACE, {E: 1.0, A.inverse(): -1.0}))
     union, window = operators._window(T, SPACE, budget)
     ids = window.lookup([E, A.inverse()])
-    out, w = operators._matvec(window, _terms(T, union)[0], ids, np.array([1.0, -1.0], dtype=complex))
+    a, columns = _terms(T, union)[0]
+    out, w = operators._scatter(a, window.targets(ids)[:, columns].T, np.array([1.0, -1.0], dtype=complex))
     assert sorted(out.tolist()) == sorted(window.lookup([A, A.inverse()]).tolist())
     assert np.count_nonzero(w) == len(w) == 2
     _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
