@@ -274,24 +274,42 @@ def _window(T: FormalOperator, space: CayleySpace, budget: NormBudget, last: lis
     return list(union), last[0][1]
 
 
-def _scatter(a: np.ndarray, dst: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the products ``a[k] * values[j]`` at images ``dst[k, j]``, -1
-    dropping one: the sorted images reached whose sum is not exactly 0, and
-    their sums, so a result never holds an exact zero.
+def _plan(a: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The part of the products ``a[k] * values[j]`` at images ``dst[k, j]``,
+    -1 dropping one, that does not depend on the values: ``out, j, ar, ai,
+    bins``, the sorted images reached and, per product in term-major order,
+    its value position, coefficient parts and image position in ``out``.
+    The bins are compact, so a sum is as long as the products, not the
+    largest image id.  :func:`norm_lower_bound` rebuilds a plan only when
+    the support changes and keeps it only for the call; a reused plan is
+    exact, since targets once resolved are final and :func:`_scatter`'s sums
+    keep their order.
+    """
+    k, j = np.nonzero(dst >= 0)  # term-major
+    at = dst[k, j]
+    seen = np.bincount(at) > 0
+    bins = (np.cumsum(seen) - 1)[at]
+    return np.flatnonzero(seen), j, a.real[k], a.imag[k], bins
+
+
+def _scatter(plan: tuple[np.ndarray, ...], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of a :func:`_plan`'s products with ``values``: the sorted images
+    reached whose sum is not exactly 0, and their sums, so a result never
+    holds an exact zero.
 
     Each product is formed from real parts, ``ar*vr - ai*vi`` and
     ``ar*vi + ai*vr``, as Python's complex type forms it, so no SIMD kernel
     fuses a multiply-add into it.  Each image sums its products from +0.0 in
     term order (a term adds at most one, as left translation is injective
     per symbol), as a scatter-add over the window and :func:`op_apply` do.
+    The compact bins only renumber the images, so applying a plan, built
+    afresh or reused, gives every sum bit for bit.
     """
-    k, j = np.nonzero(dst >= 0)  # term-major
-    at = dst[k, j]
-    ar, ai, vr, vi = a.real[k], a.imag[k], values.real[j], values.imag[j]
-    out = np.flatnonzero(np.bincount(at))
+    out, j, ar, ai, bins = plan
+    vr, vi = values.real[j], values.imag[j]
     w = np.empty(len(out), dtype=np.complex128)
-    w.real = np.bincount(at, ar * vr - ai * vi)[out]  # in order: term by term
-    w.imag = np.bincount(at, ar * vi + ai * vr)[out]
+    w.real = np.bincount(bins, ar * vr - ai * vi, minlength=len(out))  # in order: term by term
+    w.imag = np.bincount(bins, ar * vi + ai * vr, minlength=len(out))
     keep = w != 0
     return out[keep], w[keep]
 
@@ -339,6 +357,14 @@ def norm_lower_bound(
     run on vectors as long as the window, whose norms and prune skip the
     zero entries (``tests/oracles.py``).  The estimate keeps the witness as
     a copy of its window rows (:class:`NormEstimate`).
+
+    Each matvec applies a plan of its images to the values (:func:`_plan`,
+    :func:`_scatter`).  Each direction keeps its last support and plan, and
+    rebuilds the plan only when the support changes.  That is exact: a
+    resolved target is final, since the window is a prefix of its closure
+    and a target is -1 only once the window is full or its point sits at
+    ``max_depth``, and the sums keep their order.  Plans live only for the
+    call.
 
     A call builds a fresh window and keeps none, unless the caller passes
     ``_last``, a one-item list that holds the last window built through it
@@ -391,20 +417,30 @@ def norm_lower_bound(
     else:
         ids, v = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
 
+    def planner(coef: np.ndarray, columns):
+        last: list = [None, None]  # one direction's last support, and its plan
+
+        def plan(support: np.ndarray) -> tuple:
+            if last[0] is None or not np.array_equal(last[0], support):
+                last[:] = support, _plan(coef, window.targets(support)[:, columns].T)
+            return last[1]
+        return plan
+
+    forward, backward = planner(a, slice(len(a))), planner(a.conj(), window.inverse[: len(a)])
     threshold = max(budget.prune_threshold, 0.0) ** 2
     ray: float | None = None  # the latest Rayleigh value
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
-        w_ids, w = _scatter(a, window.targets(ids)[:, : len(a)].T, v)
+        w_ids, w = _scatter(forward(ids), v)
         prev, ray = ray, float(_norm(w) / _norm(v))
         if prev is not None:
             residual = abs(ray - prev)
         if residual < budget.residual_target:
             converged = True
             break
-        u_ids, u = _scatter(a.conj(), window.targets(w_ids)[:, window.inverse[: len(a)]].T, w)
+        u_ids, u = _scatter(backward(w_ids), w)
         nu = _norm(u)
         if nu == 0.0:
             break
@@ -425,7 +461,7 @@ def norm_lower_bound(
     wn = math.sqrt(math.fsum((v.real * v.real + v.imag * v.imag).tolist()))
     lower = 0.0
     if wn > 0:
-        _, tw = _scatter(a, window.images(np.arange(len(a)), ids), v)
+        _, tw = _scatter(_plan(a, window.images(np.arange(len(a)), ids)), v)
         lower = math.sqrt(math.fsum((tw.real * tw.real + tw.imag * tw.imag).tolist())) / wn
     return NormEstimate(
         lower_bound=lower,

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actrep.dynamics import CoefficientSequence, build_Ta
 from actrep.groups import conjugate_sequence, free_group, free_product
 from actrep.operators import (
     FormalOperator,
@@ -543,7 +544,7 @@ def test_full_window_resolves_only_the_rows_the_iterate_reaches():
 
 def _terms(T, union):
     """The forward and backward terms of T, coefficients and window columns,
-    as the estimator's matvecs pass them to ``operators._scatter``."""
+    as the estimator's matvecs pass them to ``operators._plan``."""
     slot = {g: u for u, g in enumerate(union)}
     a = np.array(list(T.coefficients.values()))
     fwd = a, np.array([slot[g] for g in T.coefficients])
@@ -563,11 +564,14 @@ def test_support_matvec_matches_scatter_add_over_the_window():
         union, window = operators._window(T, CayleySpace(space.presentation), budget)
         window.close()
         everywhere = np.arange(window.size)
+        # each plan is built once and applied to every vector
+        plans = [(a, columns, operators._plan(a, window.targets(everywhere)[:, columns].T))
+                 for a, columns in _terms(T, union)]
         for density in (0.05, 0.3, 1.0):
             v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
             v[rng.random(window.size) >= density] = 0.0
-            for a, columns in _terms(T, union):
-                ids, w = operators._scatter(a, window.targets(everywhere)[:, columns].T, v)
+            for a, columns, plan in plans:
+                ids, w = operators._scatter(plan, v)
                 got = np.zeros(window.size, dtype=np.complex128)
                 got[ids] = w
                 want = scatter_matvec(window.targets(everywhere), zip(a.tolist(), columns), v)
@@ -588,7 +592,7 @@ def test_matvec_follows_python_complex_arithmetic():
     rng = np.random.default_rng(23)
     v = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
     for a, columns in _terms(T, union):
-        ids, w = operators._scatter(a, window.targets(everywhere)[:, columns].T, v)
+        ids, w = operators._scatter(operators._plan(a, window.targets(everywhere)[:, columns].T), v)
         want: dict[int, complex] = {}
         for c, u in zip(a.tolist(), columns.tolist()):
             for y, x in zip(targets[:, u].tolist(), v.tolist()):
@@ -652,10 +656,34 @@ def test_norm_lower_bound_matches_the_dense_loop_when_an_entry_cancels():
     union, window = operators._window(T, SPACE, budget)
     ids = window.lookup([E, A.inverse()])
     a, columns = _terms(T, union)[0]
-    out, w = operators._scatter(a, window.targets(ids)[:, columns].T, np.array([1.0, -1.0], dtype=complex))
+    out, w = operators._scatter(operators._plan(a, window.targets(ids)[:, columns].T), np.array([1.0, -1.0], dtype=complex))
     assert sorted(out.tolist()) == sorted(window.lookup([A, A.inverse()]).tolist())
     assert np.count_nonzero(w) == len(w) == 2
     _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
+
+
+def test_plan_rebuilt_when_the_support_changes_but_not_its_length():
+    # the pruned iterate keeps its support's length while moving along the
+    # words a b: a plan kept because the length matched, not the ids, would
+    # apply the last support's images to the new values
+    T = FormalOperator(F2, {A * B: 0.3125, A: -0.3125})
+    budget = NormBudget(max_iterations=7, support_cap=200, prune_threshold=0.5, residual_target=0.0,
+                        start_vector=StateVector(SPACE, {B.inverse(): -0.25, E: -0.125}))
+    _assert_same_estimate(norm_lower_bound(T, SPACE, budget), dense_norm_lower_bound(T, SPACE, budget))
+
+
+def test_plans_reused_while_the_support_stays_put(monkeypatch):
+    # the J = 2 row of the Z/2*Z/3 panalytic sweep: the support settles
+    # early, so far fewer plans are built than the 2 per iteration applied
+    s, t = Z2Z3.generators()
+    T = build_Ta(t, s, CoefficientSequence.uniform(2))
+    budget = NormBudget(max_iterations=60, support_cap=6000)
+    calls = []
+    plan = operators._plan
+    monkeypatch.setattr(operators, "_plan", lambda *args: calls.append(1) or plan(*args))
+    est = norm_lower_bound(T, S23, budget)
+    assert est.iterations == 37 and len(calls) <= 15
+    _assert_same_estimate(est, dense_norm_lower_bound(T, S23, budget))
 
 
 def test_norm_lower_bound_matches_the_dense_loop_when_entries_underflow():
